@@ -76,8 +76,6 @@ runCell(const Cell &cell, const Options &opts)
     config.nodes = cell.nodes > 0 ? cell.nodes : opts.nodes;
     if (opts.trace)
         config.trace = true;
-    if (opts.threads > 0)
-        config.threads = opts.threads;
     if (opts.permuteSeed != 0) {
         config.tieBreak = sim::TieBreak::SeededPermute;
         config.tieBreakSeed = opts.permuteSeed;
@@ -106,9 +104,6 @@ Options::parse(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--jobs")) {
             o.jobs = static_cast<int>(util::cliInt(argc, argv, i, 0,
                                                    4096));
-        } else if (!std::strcmp(argv[i], "--threads")) {
-            o.threads = static_cast<int>(util::cliInt(argc, argv, i, 0,
-                                                      4096));
         } else if (!std::strcmp(argv[i], "--seed")) {
             o.permuteSeed = util::cliU64(argc, argv, i);
         } else if (!std::strcmp(argv[i], "--trace")) {
@@ -134,12 +129,6 @@ Options::parse(int argc, char **argv)
                    "hardware concurrency);\n"
                    "                  output is byte-identical for any "
                    "N\n"
-                   "  --threads N     simulation worker threads per "
-                   "cell (default 0 =\n"
-                   "                  sequential kernel; >= 1 runs the "
-                   "windowed parallel\n"
-                   "                  kernel, byte-identical for any "
-                   "N >= 1)\n"
                    "  --seed S        permute equal-tick event order "
                    "under seed S (0 = FIFO);\n"
                    "                  results should not move — a shift "
@@ -157,9 +146,6 @@ Options::parse(int argc, char **argv)
                         " (try --help)");
         }
     }
-    if (o.threads > 0 && o.permuteSeed != 0)
-        util::fatal("--threads and --seed are exclusive: the parallel "
-                    "kernel requires the Fifo tie-break");
     return o;
 }
 

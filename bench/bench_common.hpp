@@ -44,14 +44,6 @@ struct Options {
     bool quick = false;
 
     /**
-     * Simulation worker threads per cell (PressConfig::threads):
-     * 0 = the sequential kernel, >= 1 = the windowed parallel kernel,
-     * whose output is byte-identical for any count >= 1. Exclusive
-     * with --seed (the parallel kernel requires the Fifo tie-break).
-     */
-    int threads = 0;
-
-    /**
      * Nonzero runs every cell under the event kernel's SeededPermute
      * tie-break with this seed: equal-tick events fire in a permuted
      * cross-domain order (see check::TickRaceHunter). Results should

@@ -26,9 +26,8 @@
  * balance), and the knee table reports the measured-vs-model error —
  * the same cross-check model_validation runs for closed-loop figures.
  *
- * Output is byte-identical across --jobs and, for threads >= 1, across
- * --threads counts: arrivals are counter-based (see traffic/) and the
- * ParallelRunner returns results in grid order.
+ * Output is byte-identical across --jobs: arrivals are counter-based
+ * (see traffic/) and the ParallelRunner returns results in grid order.
  */
 
 #include <algorithm>
@@ -53,7 +52,6 @@ struct SloOptions {
     int nodes = 4;
     std::uint64_t requests = 24000; ///< arrivals per cell
     int jobs = 0;
-    int threads = 0;
     bool quick = false;
 };
 
@@ -71,15 +69,12 @@ parseArgs(int argc, char **argv)
             o.requests = util::cliU64(argc, argv, i);
         } else if (a == "--jobs") {
             o.jobs = static_cast<int>(util::cliInt(argc, argv, i, 0, 256));
-        } else if (a == "--threads") {
-            o.threads =
-                static_cast<int>(util::cliInt(argc, argv, i, 0, 64));
         } else if (a == "--quick") {
             o.quick = true;
             o.requests = 8000;
         } else if (a == "--help") {
             std::cout << "usage: capacity_slo [--nodes N] [--requests R] "
-                         "[--jobs J] [--threads T] [--quick]\n"
+                         "[--jobs J] [--quick]\n"
                          "Sweeps the five traffic scenarios over a rate "
                          "ladder anchored to the model's\npredicted "
                          "capacity and reports each scenario's SLO knee.\n";
@@ -123,7 +118,6 @@ main(int argc, char **argv)
     Options opts;
     opts.nodes = slo.nodes;
     opts.jobs = slo.jobs;
-    opts.threads = slo.threads;
     opts.quick = slo.quick;
     opts.maxRequests = slo.requests;
 

@@ -44,7 +44,6 @@ struct ChurnOptions {
     sim::Tick restart = 5 * util::SEC; ///< first restart (0 = none)
     std::uint64_t requests = 200000;
     int jobs = 0;
-    int threads = 0;
     bool quick = false;
 };
 
@@ -71,9 +70,6 @@ parseArgs(int argc, char **argv)
             o.requests = util::cliU64(argc, argv, i);
         } else if (a == "--jobs") {
             o.jobs = static_cast<int>(util::cliInt(argc, argv, i, 0, 256));
-        } else if (a == "--threads") {
-            o.threads =
-                static_cast<int>(util::cliInt(argc, argv, i, 0, 64));
         } else if (a == "--quick") {
             o.quick = true;
             o.requests = 60000;
@@ -82,7 +78,7 @@ parseArgs(int argc, char **argv)
                 << "usage: fault_churn [--nodes N] [--kill K] "
                    "[--at-ms T] [--restart-ms T|0] [--requests R]\n"
                    "                   [--plan 'verb:node@time;...'] "
-                   "[--jobs J] [--threads T] [--quick]\n"
+                   "[--jobs J] [--quick]\n"
                    "--plan takes a FaultPlan spec (verbs crash/restart/"
                    "leave/join,\ntime <int>(us|ms|s)) and overrides the "
                    "--kill/--at-ms/--restart-ms schedule.\n";
@@ -186,7 +182,6 @@ main(int argc, char **argv)
     Options opts;
     opts.nodes = churn.nodes;
     opts.jobs = churn.jobs;
-    opts.threads = churn.threads;
     opts.quick = churn.quick;
     opts.maxRequests = churn.requests;
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Event-kernel microbenchmark: raw engine speed with no cluster model
- * on top, plus a full-cluster phase comparing the sequential and
- * windowed-parallel kernels.
+ * on top, plus a full-cluster phase at three cluster sizes.
  *
  * Three kernel quantities, written to BENCH_sim.json for tracking:
  *
@@ -19,12 +18,8 @@
  *    round trip through a warm queue, sampled repeatedly.
  *
  * The cluster phase replays a capped ClarkNet trace on 1/8/64-node
- * TCP/FastEthernet clusters under the sequential kernel (threads 0)
- * and the windowed kernel at 1/4/8 worker threads, and reports
- * events/sec per cell. The interesting ratios are threads>=1 vs the
- * same cell at more threads (scaling) and threads 1 vs 0 (windowing
- * overhead); on a single-core host the thread counts cannot and should
- * not differ by more than scheduling noise.
+ * TCP/FastEthernet clusters and reports events/sec per cell: the
+ * kernel's speed under the event mix and queue depth of a real run.
  *
  * Not a google-benchmark binary: the operator-new hook and the JSON
  * output want a bare main, and the workload provides its own repeats.
@@ -110,10 +105,9 @@ percentile(std::vector<double> &v, double p)
 }
 
 /** One cluster-phase cell: kernel events/sec for a capped ClarkNet
- *  replay at a given node and worker-thread count. */
+ *  replay at a given node count. */
 struct ClusterCell {
     int nodes = 0;
-    int threads = 0; ///< 0 = sequential kernel, >=1 = windowed kernel
     std::uint64_t events = 0;
     double wallSecs = 0;
     double eventsPerSec = 0;
@@ -121,12 +115,11 @@ struct ClusterCell {
 
 ClusterCell
 runClusterCell(const press::workload::Trace &trace,
-               std::uint64_t requests, int nodes, int threads)
+               std::uint64_t requests, int nodes)
 {
     press::core::PressConfig config;
     config.protocol = press::core::Protocol::TcpFastEthernet;
     config.nodes = nodes;
-    config.threads = threads;
     press::core::PressCluster cluster(config, trace);
 
     auto t0 = std::chrono::steady_clock::now();
@@ -135,7 +128,6 @@ runClusterCell(const press::workload::Trace &trace,
 
     ClusterCell cell;
     cell.nodes = nodes;
-    cell.threads = threads;
     cell.events = cluster.simulator().eventsExecuted();
     cell.wallSecs = std::chrono::duration<double>(t1 - t0).count();
     cell.eventsPerSec =
@@ -166,8 +158,7 @@ main(int argc, char **argv)
                    "and checks the\n"
                    "steady-state allocation count stays at zero per "
                    "event, then replays\n"
-                   "a capped cluster run under the sequential and "
-                   "parallel kernels.\n"
+                   "a capped cluster run at 1, 8 and 64 nodes.\n"
                    "  --json PATH           write results JSON "
                    "(default: BENCH_sim.json)\n"
                    "  --cluster-requests N  measured requests per "
@@ -228,7 +219,7 @@ main(int argc, char **argv)
                 p99);
 
     // Cluster phase: the same capped trace replayed per cell, so the
-    // cells differ only in node count and kernel/thread choice.
+    // cells differ only in node count.
     std::vector<ClusterCell> cells;
     if (run_cluster) {
         auto spec = press::workload::clarknetSpec();
@@ -236,17 +227,14 @@ main(int argc, char **argv)
         press::workload::Trace trace =
             press::workload::generateTrace(spec);
         for (int nodes : {1, 8, 64}) {
-            for (int threads : {0, 1, 4, 8}) {
-                ClusterCell cell = runClusterCell(
-                    trace, cluster_requests, nodes, threads);
-                std::printf("  cluster %2d nodes, threads %d: "
-                            "%llu events, %.3f s, %.3e events/sec\n",
-                            cell.nodes, cell.threads,
-                            static_cast<unsigned long long>(
-                                cell.events),
-                            cell.wallSecs, cell.eventsPerSec);
-                cells.push_back(cell);
-            }
+            ClusterCell cell =
+                runClusterCell(trace, cluster_requests, nodes);
+            std::printf("  cluster %2d nodes: "
+                        "%llu events, %.3f s, %.3e events/sec\n",
+                        cell.nodes,
+                        static_cast<unsigned long long>(cell.events),
+                        cell.wallSecs, cell.eventsPerSec);
+            cells.push_back(cell);
         }
     }
 
@@ -269,8 +257,7 @@ main(int argc, char **argv)
         const ClusterCell &c = cells[i];
         json << (i ? ",\n" : "\n")
              << "    {\"scenario\": \"clarknet_tcpfe\", \"nodes\": "
-             << c.nodes << ", \"threads\": " << c.threads
-             << ", \"events\": " << c.events << ", \"wall_s\": "
+             << c.nodes << ", \"events\": " << c.events << ", \"wall_s\": "
              << c.wallSecs << ", \"events_per_sec\": "
              << c.eventsPerSec << "}";
     }

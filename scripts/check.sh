@@ -15,31 +15,26 @@
 #       checks every cross-domain edge against its lookahead bound;
 #       the emitted lookahead table must be byte-identical across
 #       --jobs values (see docs/static-analysis.md)
-#   (f) parallel: the windowed parallel kernel — golden scenarios must
-#       be byte-identical across --threads 1/2/4, and the kernel's own
-#       tests run under ThreadSanitizer (see docs/simulation.md)
-#   (g) scale: the scalable dissemination paths — a 64-node gossip +
+#   (f) scale: the scalable dissemination paths — a 64-node gossip +
 #       tree smoke with the VIA checker live plus the sharded-vs-
 #       replicated directory oracle (examples/scale_smoke), and a
 #       K=4 tick-race hunt focused on the gossip scenario
-#   (h) fault: the fault-tolerance subsystem — a churn bench smoke
+#   (g) fault: the fault-tolerance subsystem — a churn bench smoke
 #       (kill 2 of 16 mid-trace; zero lost requests is the exit
-#       code), a crash-scenario byte-identity diff across --jobs
-#       values, and the fault tests under ThreadSanitizer (see
-#       docs/simulation.md, "Fault tolerance")
-#   (i) traffic: the open-loop traffic engine — an SLO capacity-sweep
+#       code) and a crash-scenario byte-identity diff across --jobs
+#       values (see docs/simulation.md, "Fault tolerance")
+#   (h) traffic: the open-loop traffic engine — an SLO capacity-sweep
 #       smoke (the bench exits nonzero when a rung below a scenario's
 #       knee misses its offered rate or the flash crowd never crosses
-#       the overload pivot), a byte-identity diff across --jobs
-#       values, and the traffic tests under ThreadSanitizer (see
-#       docs/workloads.md)
-#   (j) lint pass (clang-tidy when available + project grep bans,
+#       the overload pivot) and a byte-identity diff across --jobs
+#       values (see docs/workloads.md)
+#   (i) lint pass (clang-tidy when available + project grep bans,
 #       including the nondeterminism, raw-argv, raw-RNG and raw-throw
 #       bans)
 #
 # Usage: scripts/check.sh [stage...]
-#   stage  any of: tier1 asan tsan trace races parallel scale fault
-#          traffic lint (default: all ten, in order)
+#   stage  any of: tier1 asan tsan trace races scale fault traffic
+#          lint (default: all nine, in order)
 #
 # Every requested stage runs even when an earlier one fails; the
 # summary table at the end shows per-stage pass/fail and the script
@@ -51,7 +46,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -eq 0 ]; then
-    STAGES=(tier1 asan tsan trace races parallel scale fault traffic lint)
+    STAGES=(tier1 asan tsan trace races scale fault traffic lint)
 else
     STAGES=("$@")
 fi
@@ -138,27 +133,6 @@ stage_races() {
     echo "lookahead table byte-identical across --jobs values"
 }
 
-stage_parallel() {
-    cmake -B build -S . -G Ninja -DPRESS_WERROR=ON
-    cmake --build build -j "$(nproc)" --target press_races
-    # Parallel-kernel byte-identity hunt: the golden scenarios replayed
-    # under the windowed kernel at 1 (baseline), 2, and 4 worker
-    # threads. Results, stats, and the lookahead lane table must match
-    # bit for bit — the contract of sim/parallel.hpp.
-    ./build/tools/press_races --parallel-only --parallel-threads 2,4 \
-        --requests 20000 --jobs "$(nproc)"
-    # The same kernel under ThreadSanitizer: window/mailbox/barrier
-    # synchronization at the sim layer plus full-cluster runs.
-    cmake -B build-tsan -S . -G Ninja \
-        -DPRESS_SANITIZE=thread -DPRESS_WERROR=ON
-    cmake --build build-tsan -j "$(nproc)" --target \
-        test_sim_parallel test_core_parallel
-    TSAN_OPTIONS="halt_on_error=1" \
-        ctest --test-dir build-tsan -j "$(nproc)" \
-        --output-on-failure \
-        -R "ParallelKernel|SimulatorDomain|ParallelCluster"
-}
-
 stage_scale() {
     cmake -B build -S . -G Ninja -DPRESS_WERROR=ON
     cmake --build build -j "$(nproc)" --target scale_smoke press_races
@@ -175,7 +149,7 @@ stage_scale() {
 
 stage_fault() {
     cmake -B build -S . -G Ninja -DPRESS_WERROR=ON
-    cmake --build build -j "$(nproc)" --target fault_churn test_fault
+    cmake --build build -j "$(nproc)" --target fault_churn
     # Churn smoke: kill 2 of 16 nodes mid-trace, restart them later.
     # The bench exits nonzero when any cell strands a request, so
     # "zero lost requests" is enforced by the exit code. Determinism:
@@ -186,20 +160,11 @@ stage_fault() {
     diff build/fault-j1.txt build/fault-j4.txt
     diff build/fault-j1.json build/fault-j4.json
     echo "fault churn byte-identical across --jobs 1/4"
-    # The same churn scenarios under ThreadSanitizer: crash recovery
-    # exercises the windowed kernel's cross-domain paths.
-    cmake -B build-tsan -S . -G Ninja \
-        -DPRESS_SANITIZE=thread -DPRESS_WERROR=ON
-    cmake --build build-tsan -j "$(nproc)" --target test_fault
-    TSAN_OPTIONS="halt_on_error=1" \
-        ctest --test-dir build-tsan -j "$(nproc)" \
-        --output-on-failure -R "FaultPlan|Membership|FaultCluster"
 }
 
 stage_traffic() {
     cmake -B build -S . -G Ninja -DPRESS_WERROR=ON
-    cmake --build build -j "$(nproc)" --target capacity_slo \
-        test_traffic test_traffic_cluster
+    cmake --build build -j "$(nproc)" --target capacity_slo
     # SLO sweep smoke: the bench exits nonzero if a rung below a
     # scenario's knee misses its offered rate or the flash-crowd sweep
     # never crosses the T = 80 overload pivot. Determinism: sequential
@@ -209,14 +174,6 @@ stage_traffic() {
     diff build/slo-j1.txt build/slo-j4.txt
     diff build/slo-j1.json build/slo-j4.json
     echo "capacity_slo byte-identical across --jobs 1/4"
-    # The arrival engine and session bookkeeping under ThreadSanitizer:
-    # open-loop feeds run inside the windowed kernel's client domain.
-    cmake -B build-tsan -S . -G Ninja \
-        -DPRESS_SANITIZE=thread -DPRESS_WERROR=ON
-    cmake --build build-tsan -j "$(nproc)" --target test_traffic_cluster
-    TSAN_OPTIONS="halt_on_error=1" \
-        ctest --test-dir build-tsan -j "$(nproc)" \
-        --output-on-failure -R "TrafficCluster"
 }
 
 stage_lint() {
@@ -228,10 +185,10 @@ OVERALL=0
 
 for stage in "${STAGES[@]}"; do
     case "$stage" in
-    tier1|asan|tsan|trace|races|parallel|scale|fault|traffic|lint) ;;
+    tier1|asan|tsan|trace|races|scale|fault|traffic|lint) ;;
     *)
         echo "check.sh: unknown stage '$stage'" \
-             "(want tier1|asan|tsan|trace|races|parallel|scale|fault|traffic|lint)" >&2
+             "(want tier1|asan|tsan|trace|races|scale|fault|traffic|lint)" >&2
         exit 2
         ;;
     esac

@@ -1,7 +1,7 @@
 /**
  * @file
  * CausalityChecker: lookahead validation for the event kernel — the
- * feasibility study for parallelizing the simulator (ROADMAP item 1).
+ * invariant any conservative parallelization of the simulator needs.
  *
  * A conservative parallel discrete-event kernel is only correct when
  * every causal edge that crosses a scheduling domain (one per cluster

@@ -105,26 +105,9 @@ RaceFinding::format() const
 
 TickRaceHunter::TickRaceHunter(Options opts) : _opts(std::move(opts))
 {
-    PRESS_ASSERT(_opts.seeds >= 1 || !_opts.seedSchedule.empty(),
-                 "need at least one permutation seed");
+    PRESS_ASSERT(_opts.seeds >= 1, "need at least one permutation seed");
     if (_opts.jobs < 1)
         _opts.jobs = 1;
-}
-
-int
-TickRaceHunter::seedCount() const
-{
-    return _opts.seedSchedule.empty()
-               ? _opts.seeds
-               : static_cast<int>(_opts.seedSchedule.size());
-}
-
-std::uint64_t
-TickRaceHunter::seedAt(int k) const
-{
-    if (_opts.seedSchedule.empty())
-        return seedForRun(_opts.baseSeed, k);
-    return _opts.seedSchedule[static_cast<std::size_t>(k) - 1];
 }
 
 void
@@ -154,7 +137,7 @@ TickRaceHunter::run()
     // opts.seeds permutations each — then compare sequentially, so the
     // findings order is a pure function of the grid, not of thread
     // scheduling.
-    const std::size_t per = static_cast<std::size_t>(seedCount()) + 1;
+    const std::size_t per = static_cast<std::size_t>(_opts.seeds) + 1;
     const std::size_t total = _scenarios.size() * per;
     std::vector<RunFingerprint> grid(total);
     forEachIndex(total, _opts.jobs, [&](std::size_t i) {
@@ -163,16 +146,18 @@ TickRaceHunter::run()
         if (k == 0)
             grid[i] = entry.scenario(sim::TieBreak::Fifo, 0);
         else
-            grid[i] = entry.scenario(sim::TieBreak::SeededPermute,
-                                     seedAt(static_cast<int>(k)));
+            grid[i] = entry.scenario(
+                sim::TieBreak::SeededPermute,
+                seedForRun(_opts.baseSeed, static_cast<int>(k)));
     });
     _runs = static_cast<int>(total);
 
     for (std::size_t s = 0; s < _scenarios.size(); ++s) {
         const RunFingerprint &base = grid[s * per];
         for (std::size_t k = 1; k < per; ++k)
-            compare(_scenarios[s].name, seedAt(static_cast<int>(k)),
-                    base, grid[s * per + k]);
+            compare(_scenarios[s].name,
+                    seedForRun(_opts.baseSeed, static_cast<int>(k)), base,
+                    grid[s * per + k]);
     }
     return clean();
 }
@@ -294,7 +279,7 @@ TickRaceHunter::report() const
        << (_totalFindings == 1 ? "" : "s") << " across " << _runs
        << " runs (" << _scenarios.size() << " scenario"
        << (_scenarios.size() == 1 ? "" : "s") << " x (1 fifo + "
-       << seedCount() << " seeds))\n";
+       << _opts.seeds << " seeds))\n";
     for (const RaceFinding &f : _findings)
         os << "  " << f.format() << "\n";
     if (_totalFindings > _findings.size())

@@ -100,17 +100,6 @@ class TickRaceHunter
         int seeds = 8;                ///< permutation runs per scenario
         std::uint64_t baseSeed = 1;   ///< root of the seed schedule
         int jobs = 1;                 ///< worker threads across runs
-
-        /**
-         * Explicit seed schedule, used verbatim when non-empty
-         * (`seeds`/`baseSeed` are then ignored). Lets a caller hunt
-         * with hand-picked seeds — or reuse the harness with a
-         * scenario that interprets the "seed" as something else
-         * entirely, e.g. the parallel-kernel byte-identity hunt, whose
-         * schedule is a list of thread counts compared against the
-         * (Fifo, 0) baseline.
-         */
-        std::vector<std::uint64_t> seedSchedule;
     };
 
     TickRaceHunter() : TickRaceHunter(Options()) {}
@@ -151,11 +140,6 @@ class TickRaceHunter
         std::string name;
         Scenario scenario;
     };
-
-    /** Number of non-baseline runs per scenario. */
-    int seedCount() const;
-    /** Seed of non-baseline run k (1-based), honouring seedSchedule. */
-    std::uint64_t seedAt(int k) const;
 
     /** Compare one seeded fingerprint against the scenario baseline,
      *  appending findings. */

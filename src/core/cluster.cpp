@@ -173,18 +173,6 @@ PressCluster::PressCluster(const PressConfig &config,
     _requestWireBytes.resize(trace.files.count(), 0);
     PRESS_ASSERT(_config.nodes >= 1, "cluster needs nodes");
 
-    // Parallel runs shard the event stream per domain, so the checkers —
-    // both of which assume one globally ordered stream — are forced off;
-    // the kernel's own lane table (writeLaneTable) takes over the
-    // lookahead measurement. Fifo is the determinism contract the
-    // window drain is built on.
-    if (_config.threads > 0) {
-        PRESS_ASSERT(_config.tieBreak == sim::TieBreak::Fifo,
-                     "parallel kernel requires the Fifo tie-break");
-        _config.causality = ViaCheck::Off;
-        _config.viaCheck = ViaCheck::Off;
-    }
-
     // Equal-tick tie-break policy, set before anything can schedule.
     // Fifo (the default) keeps runs bit-identical to every previous
     // kernel; SeededPermute is the tick-race detector's diagnostic
@@ -310,7 +298,7 @@ PressCluster::PressCluster(const PressConfig &config,
     // physically travels on — server<->server over the internal fabric,
     // anything touching the client side over the external Fast
     // Ethernet. This is the invariant a conservative parallel kernel's
-    // lookahead window would be built on (ROADMAP item 1).
+    // lookahead window would be built on.
     if (_config.causality != ViaCheck::Off) {
         _causality = std::make_unique<check::CausalityChecker>(
             _sim, _config.causality == ViaCheck::Record
@@ -388,7 +376,7 @@ PressCluster::scheduleArrival()
     // Arrival k is a pure function of (seed, curve, k): counter-based
     // splitmix64 -> exponential mass -> integrated-rate inversion. The
     // schedule cannot shift whatever else consumes RNG state, which
-    // keeps open-loop runs byte-identical across --jobs/threads.
+    // keeps open-loop runs byte-identical across reruns and --jobs.
     sim::Tick at = _measureStart + _arrivals->next();
     sim::Tick now = _sim.now();
     _sim.schedule(at > now ? at - now : 0, [this]() {
@@ -573,10 +561,8 @@ PressCluster::issueNext(ClientSlot &slot)
     if (_config.clientMode == PressConfig::ClientMode::OpenLoop &&
         slot.closedLoop &&
         (_measuring || _feed->issued() >= _warmupBoundary)) {
-        if (!_measuring && !_resetPending) {
-            _resetPending = true;
-            _sim.atBarrier([this]() { resetForMeasurement(); });
-        }
+        if (!_measuring)
+            resetForMeasurement();
         slot.active = false;
         return;
     }
@@ -587,15 +573,8 @@ PressCluster::issueNext(ClientSlot &slot)
         return;
     }
 
-    if (!_measuring && !_resetPending &&
-        _feed->issued() > _warmupBoundary) {
-        // The reset touches every node's counters; under the parallel
-        // kernel that must happen between windows, with all shards
-        // quiescent. Sequential runs execute the action inline, which
-        // is exactly the old behaviour.
-        _resetPending = true;
-        _sim.atBarrier([this]() { resetForMeasurement(); });
-    }
+    if (!_measuring && _feed->issued() > _warmupBoundary)
+        resetForMeasurement();
 
     issueRequest(slot, file);
 }
@@ -714,13 +693,7 @@ PressCluster::frontEndRoute(storage::FileId file,
                 _servers[backend]->handleClientRequest(
                     file, [this, file, keep_alive, backend,
                            slot](std::uint64_t) {
-                        // The reply callback runs on the back-end's
-                        // domain but the load table belongs to the
-                        // front-end; crossCall keeps it domain-local
-                        // (inline when sequential).
-                        _sim.crossCall(clientDomain(), [this, backend]() {
-                            --_feLoad[backend];
-                        });
+                        --_feLoad[backend];
                         http::Response resp = http::makeFileResponse(
                             200, _trace.files.size(file),
                             http::mimeType(_site.path(file)),
@@ -801,7 +774,6 @@ void
 PressCluster::resetForMeasurement()
 {
     _measuring = true;
-    _resetPending = false;
     _measureStart = _sim.now();
     if (_config.clientMode == PressConfig::ClientMode::OpenLoop)
         scheduleArrival();
@@ -982,7 +954,6 @@ PressCluster::run(std::uint64_t max_requests)
     _feed = std::make_unique<workload::RequestFeed>(
         _trace, _warmupBoundary + measured, /*wrap=*/true);
     _measuring = false;
-    _resetPending = false;
     _measureStart = 0;
     _lastReply = 0;
 
@@ -1023,8 +994,8 @@ PressCluster::run(std::uint64_t max_requests)
     }
 
     // Pre-schedule every fault event (no-op for an empty plan) so the
-    // kernel — sequential or parallel — sees churn as ordinary
-    // same-domain events, keeping runs byte-identical.
+    // kernel sees churn as ordinary same-domain events, keeping runs
+    // byte-identical.
     setupFaults();
 
     // The initial request wave (and everything issueNext touches — the
@@ -1035,21 +1006,7 @@ PressCluster::run(std::uint64_t max_requests)
         slot->closedLoop = true;
         issueNext(*slot);
     }
-    if (_config.threads > 0) {
-        // Domains: one per node plus the client population. The
-        // conservative window is bounded by the smallest wire latency
-        // any cross-domain edge can ride — internal fabric between
-        // nodes, external Fast Ethernet for everything touching the
-        // client side.
-        sim::ParallelPlan plan;
-        plan.domains = _config.nodes + 1;
-        plan.threads = _config.threads;
-        plan.lookahead = std::min(_internal->config().wireLatency,
-                                  _external->config().wireLatency);
-        _sim.runParallel(plan);
-    } else {
-        _sim.run();
-    }
+    _sim.run();
 
     if (!_measuring) {
         // Tiny runs can finish inside the warm-up window.

@@ -17,7 +17,6 @@
 #define PRESS_CORE_CLUSTER_HPP
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -188,10 +187,6 @@ class PressCluster
      *  clients; exposed for fault-injection tests). */
     std::uint64_t badRequests() const { return _badRequests; }
 
-    /** Per-lane cross-domain traffic measured by the parallel kernel
-     *  (empty unless config.threads > 0 and run() has completed). */
-    void writeLaneTable(std::ostream &os) const { _sim.writeLaneTable(os); }
-
   private:
     struct ClientSlot;
 
@@ -259,10 +254,7 @@ class PressCluster
     workload::SiteMap _site;
     std::vector<net::Payload> _requestWire; ///< per-file GET, lazily built
     std::vector<std::uint32_t> _requestWireBytes;
-    /** Bumped from the client domain (ingress parse) and from node
-     *  domains (LARD hand-off) — atomic so the parallel kernel's
-     *  workers can race on it without torn counts. */
-    std::atomic<std::uint64_t> _badRequests{0};
+    std::uint64_t _badRequests = 0;
 
     // LARD front-end state (Distribution::FrontEndLard only).
     std::unique_ptr<sim::FifoResource> _feCpu;
@@ -301,11 +293,6 @@ class PressCluster
 
     std::uint64_t _warmupBoundary = 0;
     bool _measuring = false;
-    /** A measurement reset has been requested but not yet executed.
-     *  resetForMeasurement touches every node, so under the parallel
-     *  kernel it runs as a window-barrier action; this flag keeps
-     *  issueNext from queueing it once per request until it lands. */
-    bool _resetPending = false;
     sim::Tick _measureStart = 0;
     sim::Tick _lastReply = 0;
 };

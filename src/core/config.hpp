@@ -280,22 +280,6 @@ struct PressConfig {
     std::uint64_t seed = 7;
 
     /**
-     * Simulation worker threads. 0 (the default) runs the sequential
-     * event loop — bit-identical to every previous kernel. Any value
-     * >= 1 runs the windowed parallel kernel (sim/parallel.hpp) with
-     * that many workers, sharding events per scheduling domain and
-     * synchronizing on conservative lookahead windows sized by the
-     * minimum fabric wire latency. Parallel output is byte-identical
-     * across all thread counts (1 vs N), but is its own determinism
-     * class, not comparable to threads == 0: the VIA reverse
-     * completions and barrier actions land at window boundaries.
-     * Forces the causality and VIA checkers Off (both assume one
-     * ordered event stream; the kernel's lane table takes over the
-     * lookahead measurement).
-     */
-    int threads = 0;
-
-    /**
      * Equal-tick tie-break policy of the event kernel. Fifo is the
      * determinism contract (bit-identical runs); SeededPermute is the
      * tick-race detector's diagnostic mode — it permutes equal-tick

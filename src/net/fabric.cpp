@@ -90,14 +90,11 @@ Fabric::acquireTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
                         DeliverFn on_delivered, DeliverFn on_tx_done)
 {
     Transfer *t;
-    {
-        std::lock_guard<std::mutex> lock(_arenaMutex);
-        if (_freeTransfers.empty()) {
-            t = &_transferArena.emplace_back();
-        } else {
-            t = _freeTransfers.back();
-            _freeTransfers.pop_back();
-        }
+    if (_freeTransfers.empty()) {
+        t = &_transferArena.emplace_back();
+    } else {
+        t = _freeTransfers.back();
+        _freeTransfers.pop_back();
     }
     t->src = src;
     t->dst = dst;
@@ -113,7 +110,6 @@ Fabric::releaseTransfer(Transfer *t)
 {
     t->onDelivered = nullptr;
     t->onTxDone = nullptr;
-    std::lock_guard<std::mutex> lock(_arenaMutex);
     _freeTransfers.push_back(t);
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -183,12 +182,6 @@ class Fabric
     FabricObserver *_observer = nullptr;
     std::deque<Transfer> _transferArena; ///< stable addresses, reused
     std::vector<Transfer *> _freeTransfers;
-    /** Transfers are acquired on the source port's domain and released
-     *  on the destination's — under the parallel kernel those are
-     *  different threads. The arena mutex is uncontended in sequential
-     *  runs and never leaks block order into results (addresses are
-     *  banned from outputs), so reuse order stays unobservable. */
-    std::mutex _arenaMutex;
 };
 
 } // namespace press::net

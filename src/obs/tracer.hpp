@@ -187,9 +187,8 @@ class ResourceProbe final : public sim::ResourceListener
     int _node;
     Kind _kind;
     Gauge &_depthGauge;
-    /** Resolved at construction: registry lookups mutate the shared
-     *  name map, which must not happen from concurrent domains once
-     *  the parallel kernel is running. */
+    /** Resolved at construction, keeping the registry's name lookup
+     *  off the per-read path. */
     stats::LogHistogram &_diskReadNs;
 };
 

@@ -117,16 +117,6 @@ EventQueue::pop()
     return out;
 }
 
-EventQueue::Popped
-EventQueue::popEntry()
-{
-    PRESS_ASSERT(!_heap.empty(), "pop from empty event queue");
-    Entry top = removeTop();
-    Popped out{top.when, std::move(slotRef(top.slot)), top.domain};
-    _free.push_back(top.slot);
-    return out;
-}
-
 void
 EventQueue::fireNext()
 {

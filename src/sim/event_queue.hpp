@@ -39,10 +39,9 @@ namespace press::sim {
 using EventFn = InlineFn<64>;
 
 /**
- * A scheduling domain: the unit the future parallel kernel would shard
- * the queue by (one per cluster node, one for the client population).
- * NoDomain marks events with no assigned domain; they form one shared
- * domain of their own under permutation.
+ * A scheduling domain: one per cluster node, one for the client
+ * population. NoDomain marks events with no assigned domain; they form
+ * one shared domain of their own under permutation.
  */
 using Domain = std::int32_t;
 constexpr Domain NoDomain = -1;
@@ -93,18 +92,6 @@ class EventQueue
 
     /** Remove and return the earliest event's callback and time. */
     std::pair<Tick, EventFn> pop();
-
-    /** An event removed together with its scheduling metadata — the
-     *  queue-migration primitive of the parallel kernel (events move
-     *  between the global queue and the per-domain shards). */
-    struct Popped {
-        Tick when = 0;
-        EventFn fn;
-        Domain domain = NoDomain;
-    };
-
-    /** Remove and return the earliest event with its domain. */
-    Popped popEntry();
 
     /**
      * Remove the earliest event and invoke its callback in place (slot

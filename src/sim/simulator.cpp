@@ -1,8 +1,5 @@
 #include "simulator.hpp"
 
-#include <ostream>
-
-#include "sim/parallel.hpp"
 #include "util/logging.hpp"
 
 namespace press::sim {
@@ -10,31 +7,9 @@ namespace press::sim {
 void
 Simulator::push(Tick when, EventFn fn, Domain domain)
 {
-    if (_kernel) {
-        _kernel->push(when, std::move(fn), domain);
-        return;
-    }
     if (_observer)
         _observer->onSchedule(_now, when, _currentDomain, domain);
     _queue.push(when, std::move(fn), domain);
-}
-
-Tick
-Simulator::kernelNow() const
-{
-    const detail::ExecContext *ctx = detail::tlsContext();
-    if (ctx && ctx->sim == this)
-        return ctx->now;
-    return _now;
-}
-
-Domain
-Simulator::kernelDomain() const
-{
-    const detail::ExecContext *ctx = detail::tlsContext();
-    if (ctx && ctx->sim == this)
-        return ctx->domain;
-    return NoDomain;
 }
 
 void
@@ -57,30 +32,6 @@ Simulator::scheduleIn(Domain domain, Tick delay, EventFn fn)
 {
     PRESS_ASSERT(delay >= 0, "negative event delay ", delay);
     push(now() + delay, std::move(fn), domain);
-}
-
-void
-Simulator::crossCall(Domain domain, EventFn fn)
-{
-    if (_kernel) {
-        _kernel->crossCall(domain, std::move(fn));
-        return;
-    }
-    // Sequential loop: a domain switch costs nothing — run inline,
-    // exactly as the call sites did before they were made explicit.
-    fn();
-}
-
-void
-Simulator::atBarrier(EventFn fn)
-{
-    if (_kernel) {
-        _kernel->atBarrier(std::move(fn));
-        return;
-    }
-    // Sequential loop: no event is mid-flight while another runs, so
-    // every point is a barrier.
-    fn();
 }
 
 void
@@ -109,34 +60,6 @@ Simulator::run(Tick until)
         return _now;
     _now = until;
     return _now;
-}
-
-Tick
-Simulator::runParallel(const ParallelPlan &plan, Tick until)
-{
-    PRESS_ASSERT(!_kernel, "runParallel is not reentrant");
-    PRESS_ASSERT(_queue.tieBreak() == TieBreak::Fifo,
-                 "the windowed kernel defines the cross-domain order "
-                 "itself; SeededPermute only applies to run()");
-    PRESS_ASSERT(!_observer,
-                 "schedule observers assume one ordered event stream; "
-                 "detach the observer before runParallel (its lane "
-                 "table replaces the causality checker's measurement)");
-    ParallelKernel kernel(*this, plan, until);
-    _kernel = &kernel;
-    Tick end = kernel.run();
-    _kernel = nullptr;
-    return end;
-}
-
-void
-Simulator::writeLaneTable(std::ostream &os) const
-{
-    os << "from to count min_delay bound verdict\n";
-    for (const LaneStat &l : _laneStats)
-        os << l.from << " " << l.to << " " << l.count << " "
-           << l.minDelay << " " << l.bound << " "
-           << (l.minDelay >= l.bound ? "ok" : "VIOLATION") << "\n";
 }
 
 bool

@@ -1,48 +1,34 @@
 /**
  * @file
- * The discrete-event simulator: clock plus event loop(s).
+ * The discrete-event simulator: clock plus event loop.
  *
  * Every simulated subsystem (NICs, CPUs, disks, the VIA engine, the PRESS
  * server) holds a reference to one Simulator and advances by scheduling
- * callbacks. The default loop, run(), is single-threaded: determinism
- * comes from one time-ordered event queue.
+ * callbacks. The loop, run(), is single-threaded: determinism comes from
+ * one time-ordered event queue.
  *
- * Scheduling domains. Each event belongs to a Domain — the unit the
- * parallel kernel shards the queue by (one per cluster node, one for the
- * client population). schedule() inherits the domain of the event
- * currently firing, so whole causal chains stay inside one domain
- * automatically; the places where causality genuinely crosses domains
- * (the network fabric's wire hop, the TCP window-update path) re-tag
- * explicitly with scheduleIn(). Domains cost one integer copy per event
- * and power three consumers: the tick-race detector (EventQueue's
+ * Scheduling domains. Each event belongs to a Domain (one per cluster
+ * node, one for the client population). schedule() inherits the domain
+ * of the event currently firing, so whole causal chains stay inside one
+ * domain automatically; the places where causality genuinely crosses
+ * domains (the network fabric's wire hop, the TCP window-update path)
+ * re-tag explicitly with scheduleIn(). Domains cost one integer copy per event
+ * and power two consumers: the tick-race detector (EventQueue's
  * SeededPermute tie-break reorders equal-tick events across domains
- * only), the causality/lookahead checker (a ScheduleObserver sees every
- * cross-domain edge and verifies its delay against the per-link
- * lookahead bound), and runParallel() itself.
- *
- * Parallel mode. runParallel() executes the pending events on a pool of
- * worker threads under conservative lookahead-window synchronization
- * (see sim/parallel.hpp). Within one window [T, T + lookahead) every
- * domain's events are causally independent, because no cross-domain
- * edge may carry less than the lookahead delay — the invariant
- * check::CausalityChecker measures and the kernel asserts. Output is a
- * pure function of (events, lookahead): byte-identical for any thread
- * count.
+ * only) and the causality/lookahead checker (a ScheduleObserver sees
+ * every cross-domain edge and verifies its delay against the per-link
+ * lookahead bound).
  */
 
 #ifndef PRESS_SIM_SIMULATOR_HPP
 #define PRESS_SIM_SIMULATOR_HPP
 
 #include <cstdint>
-#include <iosfwd>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace press::sim {
-
-class ParallelKernel;
 
 /**
  * Observer of every scheduling edge: an event executing at `now` in
@@ -60,42 +46,6 @@ class ScheduleObserver
                             Domain to) = 0;
 };
 
-/** Configuration of one runParallel() invocation. */
-struct ParallelPlan {
-    /** Shard count; every pending/scheduled event's domain must fall in
-     *  [0, domains). */
-    int domains = 1;
-
-    /** Worker threads, including the calling thread (clamped to
-     *  [1, domains]). 1 still runs the windowed kernel — the byte-
-     *  identity baseline for any higher count. */
-    int threads = 1;
-
-    /**
-     * Conservative lookahead: the smallest delay any cross-domain
-     * scheduling edge may carry, in ns (> 0). For a cluster this is the
-     * minimum fabric wire latency — the bound the causality checker
-     * verifies on every edge and the kernel asserts at violation.
-     */
-    Tick lookahead = 0;
-};
-
-/**
- * One cross-domain scheduling lane as measured by the parallel kernel:
- * how many events crossed (from -> to) and the smallest scheduling
- * delay observed, against the plan's lookahead bound. The parallel-mode
- * replacement for check::CausalityChecker's lookahead table (the
- * checker's single ordered event stream does not exist under the
- * windowed kernel).
- */
-struct LaneStat {
-    Domain from = NoDomain;
-    Domain to = NoDomain;
-    std::uint64_t count = 0;
-    Tick minDelay = -1;
-    Tick bound = -1;
-};
-
 /** Single-clock discrete-event simulator. */
 class Simulator
 {
@@ -105,14 +55,8 @@ class Simulator
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Current simulated time (per-worker during runParallel()). */
-    Tick
-    now() const
-    {
-        if (_kernel)
-            return kernelNow();
-        return _now;
-    }
+    /** Current simulated time. */
+    Tick now() const { return _now; }
 
     /** Schedule @p fn to run @p delay ns from now (delay >= 0), in the
      *  domain of the currently-firing event. */
@@ -131,36 +75,10 @@ class Simulator
     void scheduleIn(Domain domain, Tick delay, EventFn fn);
 
     /**
-     * Run @p fn in @p domain "as soon as possible": immediately under
-     * the sequential loop (where a domain switch is free), at the start
-     * of the next synchronization window under the parallel kernel —
-     * the mechanism for the rare reverse edges that carry state instead
-     * of simulated traffic (e.g. a VIA send completion updating the
-     * sender's descriptor). Calls targeting the current domain always
-     * run inline.
-     */
-    void crossCall(Domain domain, EventFn fn);
-
-    /**
-     * Run @p fn at the next point where no event is in flight anywhere:
-     * immediately under the sequential loop, after the current window's
-     * barrier under the parallel kernel (with exclusive access to every
-     * domain). For cluster-wide actions like the measurement-boundary
-     * statistics reset.
-     */
-    void atBarrier(EventFn fn);
-
-    /**
      * Domain of the event currently firing (NoDomain outside the loop
      * unless setCurrentDomain() was called). New events inherit it.
      */
-    Domain
-    currentDomain() const
-    {
-        if (_kernel)
-            return kernelDomain();
-        return _currentDomain;
-    }
+    Domain currentDomain() const { return _currentDomain; }
 
     /**
      * Set the inheritance domain for events scheduled outside the event
@@ -196,33 +114,6 @@ class Simulator
     Tick run(Tick until = MaxTick);
 
     /**
-     * Run the pending events on @p plan.threads workers under
-     * conservative lookahead-window synchronization (sim/parallel.hpp).
-     * Same contract as run() — events exactly at @p until still run,
-     * leftover events stay queued in global order — plus a determinism
-     * guarantee: the result is byte-identical for every thread count.
-     * Requires TieBreak::Fifo, no ScheduleObserver, and every pending
-     * event tagged with a domain in [0, plan.domains).
-     *
-     * @return the final simulated time.
-     */
-    Tick runParallel(const ParallelPlan &plan, Tick until = MaxTick);
-
-    /** True while runParallel() is executing (event callbacks can ask). */
-    bool parallelActive() const { return _kernel != nullptr; }
-
-    /**
-     * Cross-domain lane statistics of the last runParallel(), ordered
-     * by (from, to): the measured per-link minimum delays against the
-     * lookahead bound. Empty before the first parallel run.
-     */
-    const std::vector<LaneStat> &laneStats() const { return _laneStats; }
-
-    /** Write laneStats() as a lookahead table, one `from -> to` row per
-     *  lane (the same shape check::CausalityChecker emits). */
-    void writeLaneTable(std::ostream &os) const;
-
-    /**
      * Process a single event if one is pending.
      * @return true when an event was processed.
      */
@@ -235,19 +126,13 @@ class Simulator
     bool idle() const { return _queue.empty(); }
 
   private:
-    friend class ParallelKernel;
-
     void push(Tick when, EventFn fn, Domain domain);
-    Tick kernelNow() const;
-    Domain kernelDomain() const;
 
     EventQueue _queue;
     Tick _now = 0;
     std::uint64_t _executed = 0;
     Domain _currentDomain = NoDomain;
     ScheduleObserver *_observer = nullptr;
-    ParallelKernel *_kernel = nullptr; ///< non-null while runParallel runs
-    std::vector<LaneStat> _laneStats;  ///< last parallel run's lanes
 };
 
 } // namespace press::sim

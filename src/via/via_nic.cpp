@@ -148,13 +148,9 @@ void
 ViaNic::completeOnSender(VirtualInterface &src_vi, DescriptorPtr desc,
                          Status status, bool break_vi)
 {
-    _sim.crossCall(_fabric.portDomain(src_vi.node()),
-                   [vi = &src_vi, desc = std::move(desc), status,
-                    break_vi]() mutable {
-                       if (break_vi)
-                           vi->markBroken();
-                       vi->completeSend(std::move(desc), status);
-                   });
+    if (break_vi)
+        src_vi.markBroken();
+    src_vi.completeSend(std::move(desc), status);
 }
 
 void

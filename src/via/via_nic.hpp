@@ -141,14 +141,11 @@ class ViaNic
                     Reliability reliability, VirtualInterface &src_vi);
 
     /**
-     * Deposit a send completion (optionally breaking the VI first) on
-     * the *sender's* scheduling domain. Reliable completions are
-     * decided at the receiver but mutate sender state — the one
-     * reverse edge in the VIA model with no wire delay under it, so it
-     * rides Simulator::crossCall: inline in sequential runs, deferred
-     * to the next window under the parallel kernel. Keeping
-     * markBroken() inside the same hop keeps every VI's state
-     * domain-local.
+     * Deposit a send completion on the sender's VI (optionally breaking
+     * the VI first). Reliable completions are decided at the receiver
+     * but mutate sender state — the one reverse edge in the VIA model
+     * with no wire delay under it; it runs inline, at the tick the
+     * receiver decides it.
      */
     void completeOnSender(VirtualInterface &src_vi, DescriptorPtr desc,
                           Status status, bool break_vi = false);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "check/causality_checker.hpp"
+#include "check/via_checker.hpp"
 #include "core/cluster.hpp"
 #include "workload/trace_gen.hpp"
 
@@ -77,6 +79,33 @@ TEST(LardMode, RoutesAndCompletesEverything)
         replies += cluster.server(i).stats().replies;
     EXPECT_EQ(replies, trace.requests.size());
     EXPECT_EQ(r.comm.total().msgs, 0u); // no intra-cluster messages
+    EXPECT_EQ(cluster.badRequests(), 0u);
+    EXPECT_TRUE(cluster.simulator().idle());
+}
+
+TEST(LardMode, RunsCleanUnderBothCheckersInAbortMode)
+{
+    // The back-end's reply decrements the front-end's load table inline
+    // from a node-domain callback; with both checkers live in Abort
+    // mode any VIA rule break or sub-lookahead cross-domain edge on the
+    // way panics the run.
+    workload::Trace trace = baselineTrace();
+    PressConfig c = baseConfig(Distribution::FrontEndLard);
+    c.protocol = Protocol::ViaClan;
+    c.version = Version::V5;
+    c.viaCheck = ViaCheck::Abort;
+    c.causality = ViaCheck::Abort;
+    c.warmupFraction = 0;
+    PressCluster cluster(c, trace);
+    ASSERT_NE(cluster.viaChecker(), nullptr);
+    ASSERT_NE(cluster.causalityChecker(), nullptr);
+    cluster.run();
+    EXPECT_TRUE(cluster.viaChecker()->clean());
+    EXPECT_TRUE(cluster.causalityChecker()->clean());
+    std::uint64_t replies = 0;
+    for (int i = 0; i < c.nodes; ++i)
+        replies += cluster.server(i).stats().replies;
+    EXPECT_EQ(replies, trace.requests.size());
     EXPECT_EQ(cluster.badRequests(), 0u);
     EXPECT_TRUE(cluster.simulator().idle());
 }

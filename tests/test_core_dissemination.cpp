@@ -3,7 +3,7 @@
  * Tests for scalable dissemination (gossip rounds, multicast trees) and
  * the sharded cache directory: convergence bounds, message-count
  * exactness, a sharded-vs-replicated end-state oracle, and byte
- * identity under the parallel kernel.
+ * identity across reruns.
  */
 
 #include <gtest/gtest.h>
@@ -254,19 +254,17 @@ runFingerprint(core::PressConfig config, const workload::Trace &trace,
     fp << "events " << cluster.simulator().eventsExecuted() << "\n";
     fp << "now " << cluster.simulator().now() << "\n";
     cluster.dumpStats(fp);
-    cluster.writeLaneTable(fp);
     if (r.trace)
         obs::writeTrace(fp, *r.trace);
     return fp.str();
 }
 
 void
-expectThreadIdentity(core::PressConfig config, const workload::Trace &trace)
+expectRerunIdentity(const core::PressConfig &config,
+                    const workload::Trace &trace)
 {
-    config.threads = 1;
     std::string base = runFingerprint(config, trace);
     ASSERT_FALSE(base.empty());
-    config.threads = 4;
     EXPECT_EQ(base, runFingerprint(config, trace));
 }
 
@@ -402,7 +400,7 @@ TEST(Dissemination, ShardedMatchesReplicatedServiceAndShrinksDirectory)
         << "sharding should shrink the per-node directory";
 }
 
-TEST(Dissemination, GossipByteIdenticalAcrossThreads)
+TEST(Dissemination, GossipByteIdenticalAcrossReruns)
 {
     auto trace = smallTrace();
     core::PressConfig config;
@@ -410,10 +408,10 @@ TEST(Dissemination, GossipByteIdenticalAcrossThreads)
     config.version = core::Version::V0;
     config.nodes = 4;
     config.dissemination = core::Dissemination::gossip(2);
-    expectThreadIdentity(config, trace);
+    expectRerunIdentity(config, trace);
 }
 
-TEST(Dissemination, TreeShardedByteIdenticalAcrossThreads)
+TEST(Dissemination, TreeShardedByteIdenticalAcrossReruns)
 {
     auto trace = smallTrace();
     core::PressConfig config;
@@ -423,13 +421,11 @@ TEST(Dissemination, TreeShardedByteIdenticalAcrossThreads)
     config.directoryMode = core::DirectoryMode::Sharded;
     config.dirShards = 8;
     config.dirHotSet = 64;
-    expectThreadIdentity(config, trace);
+    expectRerunIdentity(config, trace);
 }
 
 TEST(Dissemination, SequentialRunsAreReproducible)
 {
-    // threads == 0 (the classic sequential kernel) is its own
-    // determinism class: identical to itself run-to-run.
     auto trace = smallTrace();
     core::PressConfig config;
     config.protocol = core::Protocol::ViaClan;
@@ -437,7 +433,5 @@ TEST(Dissemination, SequentialRunsAreReproducible)
     config.nodes = 6;
     config.dissemination = core::Dissemination::gossip(3);
     config.directoryMode = core::DirectoryMode::Sharded;
-    std::string a = runFingerprint(config, trace);
-    std::string b = runFingerprint(config, trace);
-    EXPECT_EQ(a, b);
+    expectRerunIdentity(config, trace);
 }

@@ -6,8 +6,7 @@
  * subsystem's two contracts: zero lost requests (every request issued
  * to a crashed node is eventually answered via server-side retry or
  * client re-issue) and determinism (a faulty run is byte-identical
- * across reruns, worker-thread counts, and the tick-race hunter's
- * equal-tick permutations).
+ * across reruns and the tick-race hunter's equal-tick permutations).
  */
 
 #include <gtest/gtest.h>
@@ -283,17 +282,6 @@ TEST(FaultCluster, ChurnIsByteIdenticalAcrossReruns)
     std::string b = churnFingerprint(churnConfig(), trace);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
-}
-
-TEST(FaultCluster, ChurnIsByteIdenticalAcrossThreadCounts)
-{
-    auto trace = churnTrace();
-    core::PressConfig config = churnConfig();
-    config.threads = 1;
-    std::string base = churnFingerprint(config, trace);
-    ASSERT_FALSE(base.empty());
-    config.threads = 4;
-    EXPECT_EQ(base, churnFingerprint(config, trace));
 }
 
 TEST(FaultCluster, ChurnSurvivesTickRacePermutations)

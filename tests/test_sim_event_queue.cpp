@@ -282,6 +282,42 @@ TEST(SimulatorDomains, ScheduleObserverSeesEveryEdge)
     EXPECT_EQ(obs.edges[1].to, 3);
 }
 
+// --- Loop-exit domain hygiene (the stale-domain regression) ----------
+
+TEST(SimulatorDomain, RunResetsCurrentDomainAfterLoop)
+{
+    Simulator sim;
+    sim.setCurrentDomain(3);
+    sim.schedule(5, []() {});
+    sim.run();
+    // Before the fix the last fired event's domain leaked out of the
+    // loop and anything the driver scheduled next inherited domain 3.
+    EXPECT_EQ(sim.currentDomain(), press::sim::NoDomain);
+}
+
+TEST(SimulatorDomain, CappedRunResetsCurrentDomain)
+{
+    Simulator sim;
+    sim.setCurrentDomain(2);
+    sim.schedule(5, []() {});
+    sim.schedule(50, []() {});
+    sim.run(10);
+    EXPECT_EQ(sim.currentDomain(), press::sim::NoDomain);
+    EXPECT_FALSE(sim.idle());
+}
+
+TEST(SimulatorDomain, StepResetsCurrentDomain)
+{
+    Simulator sim;
+    sim.setCurrentDomain(1);
+    bool fired = false;
+    sim.schedule(5, [&]() { fired = true; });
+    EXPECT_TRUE(sim.step());
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(sim.currentDomain(), press::sim::NoDomain);
+    EXPECT_FALSE(sim.step());
+}
+
 TEST(Simulator, ClockAdvancesToEventTimes)
 {
     Simulator sim;

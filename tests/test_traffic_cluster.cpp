@@ -1,13 +1,13 @@
 /**
  * @file
  * Full-cluster tests of the open-loop traffic engine: the shaped
- * scenarios must stay byte-identical across reruns, worker-thread
- * counts, and the tick-race hunter's equal-tick permutations; the
- * flash-crowd scenario must cross the T = 80 overload-replication
- * pivot during the spike and nowhere before it; keep-alive sessions
- * must skip exactly the connection-setup share of mu_p; the dynamic
- * request class must bypass the storage path; and the client-side
- * in-flight cap must shed load without losing accounting.
+ * scenarios must stay byte-identical across reruns and the tick-race
+ * hunter's equal-tick permutations; the flash-crowd scenario must
+ * cross the T = 80 overload-replication pivot during the spike and
+ * nowhere before it; keep-alive sessions must skip exactly the
+ * connection-setup share of mu_p; the dynamic request class must
+ * bypass the storage path; and the client-side in-flight cap must shed
+ * load without losing accounting.
  */
 
 #include <gtest/gtest.h>
@@ -111,18 +111,6 @@ TEST(TrafficCluster, FlashRunIsByteIdenticalAcrossReruns)
     std::string b = trafficFingerprint(config, trace, 5000);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
-}
-
-TEST(TrafficCluster, FlashRunIsByteIdenticalAcrossThreadCounts)
-{
-    auto trace = smallTrace(20000);
-    PressConfig config = openConfig();
-    config.traffic = traffic::flashScenario(1800);
-    config.threads = 1;
-    std::string base = trafficFingerprint(config, trace, 5000);
-    ASSERT_FALSE(base.empty());
-    config.threads = 4;
-    EXPECT_EQ(base, trafficFingerprint(config, trace, 5000));
 }
 
 TEST(TrafficCluster, KeepAliveSurvivesTickRacePermutations)

@@ -16,16 +16,7 @@
  * whatever --jobs was used for phase 1 — so scripts/check.sh diffs it
  * across jobs counts.
  *
- * Phase 3 (parallel, opt-in via --parallel-threads): reruns the same
- * scenarios under the windowed parallel kernel (config.threads >= 1)
- * and diffs every thread count against the threads=1 baseline, reusing
- * the TickRaceHunter comparison machinery with a seed schedule that is
- * really a thread-count list. The fingerprints cover the headline
- * results, the per-node trace rings and the kernel's lookahead lane
- * table — the byte-identity contract of sim/parallel.hpp, checked on
- * full cluster runs.
- *
- * Exit status: 0 when every requested phase is clean, 1 otherwise.
+ * Exit status: 0 when both phases are clean, 1 otherwise.
  */
 
 #include <bit>
@@ -53,8 +44,6 @@ struct RaceOptions {
     std::uint64_t requests = 20000;
     std::string tablePath = "lookahead.txt";
     std::string filter; ///< keep scenarios whose label contains this
-    std::vector<std::uint64_t> parallelThreads; ///< empty = phase 3 off
-    bool parallelOnly = false;
 
     static RaceOptions
     parse(int argc, char **argv)
@@ -75,17 +64,6 @@ struct RaceOptions {
                 o.tablePath = util::cliValue(argc, argv, i);
             } else if (!std::strcmp(argv[i], "--filter")) {
                 o.filter = util::cliValue(argc, argv, i);
-            } else if (!std::strcmp(argv[i], "--parallel-threads")) {
-                const char *list = util::cliValue(argc, argv, i);
-                std::string item;
-                std::istringstream in(list);
-                while (std::getline(in, item, ','))
-                    o.parallelThreads.push_back(util::cliParseU64(
-                        item.c_str(), "--parallel-threads"));
-                if (o.parallelThreads.empty())
-                    util::fatal("--parallel-threads: empty list");
-            } else if (!std::strcmp(argv[i], "--parallel-only")) {
-                o.parallelOnly = true;
             } else if (!std::strcmp(argv[i], "--help")) {
                 std::cout
                     << "usage: " << (argc > 0 ? argv[0] : "press_races")
@@ -105,24 +83,12 @@ struct RaceOptions {
                        "                (default lookahead.txt)\n"
                        "  --filter S    only scenarios whose label "
                        "contains S\n"
-                       "  --parallel-threads LIST\n"
-                       "                comma-separated thread counts "
-                       "(e.g. 2,4): rerun the\n"
-                       "                scenarios under the windowed "
-                       "parallel kernel and diff\n"
-                       "                each count against the "
-                       "threads=1 baseline\n"
-                       "  --parallel-only\n"
-                       "                skip phases 1 and 2 (with "
-                       "--parallel-threads)\n"
                        "  --help        this text\n";
                 std::exit(0);
             } else {
                 util::fatal("unknown option ", argv[i], " (try --help)");
             }
         }
-        if (o.parallelOnly && o.parallelThreads.empty())
-            util::fatal("--parallel-only needs --parallel-threads");
         return o;
     }
 };
@@ -236,60 +202,6 @@ runScenario(const core::PressConfig &base, const workload::Trace &trace,
     return fp;
 }
 
-/**
- * Phase 3 scenario: the "seed" is really a thread count (the baseline
- * run arrives as seed 0 and maps to one worker — the windowed kernel's
- * byte-identity reference). The tie-break policy argument is ignored:
- * the parallel kernel always runs Fifo. On top of runScenario's
- * fingerprint the results hash also covers the kernel's lookahead lane
- * table, so the measured cross-domain traffic must match too.
- */
-check::RunFingerprint
-runParallelScenario(const core::PressConfig &base,
-                    const workload::Trace &trace, std::uint64_t requests,
-                    std::uint64_t threads)
-{
-    core::PressConfig config = base;
-    config.threads = threads == 0 ? 1 : static_cast<int>(threads);
-    config.trace = true;
-    config.viaCheck = core::ViaCheck::Off;
-    config.causality = core::ViaCheck::Off;
-
-    core::PressCluster cluster(config, trace);
-    core::ClusterResults r = cluster.run(requests);
-
-    check::RunFingerprint fp;
-    fp.eventsExecuted = cluster.simulator().eventsExecuted();
-    fp.finalTick = cluster.simulator().now();
-
-    std::ostringstream lanes;
-    cluster.writeLaneTable(lanes);
-    const std::string lane_table = lanes.str();
-
-    std::uint64_t h = 0;
-    h = check::hashCombine(h, std::bit_cast<std::uint64_t>(r.throughput));
-    h = check::hashCombine(h,
-                           std::bit_cast<std::uint64_t>(r.avgLatencyMs));
-    h = check::hashCombine(h,
-                           std::bit_cast<std::uint64_t>(r.p99LatencyMs));
-    h = check::hashCombine(h, r.requestsMeasured);
-    h = check::hashCombine(
-        h, std::bit_cast<std::uint64_t>(r.forwardFraction));
-    h = check::hashCombine(h, r.diskReads);
-    for (char c : lane_table)
-        h = check::hashCombine(h, static_cast<unsigned char>(c));
-    fp.resultsHash = h;
-
-    std::ostringstream headline;
-    headline.precision(17);
-    headline << "tput " << r.throughput << " lat " << r.avgLatencyMs
-             << " reqs " << r.requestsMeasured << " lanes "
-             << cluster.simulator().laneStats().size();
-    fp.headline = headline.str();
-    fp.trace = r.trace;
-    return fp;
-}
-
 /** One FIFO Record-mode causality run; appends its table to @p os. */
 bool
 runCausality(const core::PressConfig &base, const workload::Trace &trace,
@@ -335,81 +247,43 @@ main(int argc, char **argv)
                         " matches no scenario");
     }
 
-    bool races_clean = true;
+    std::cout << "== press_races: tick-race hunt ==\n"
+              << "(" << configs.size() << " scenarios x (1 fifo + "
+              << opts.seeds << " permutation seeds), " << opts.requests
+              << " requests each, " << opts.jobs << " jobs)\n";
+
+    check::TickRaceHunter::Options hopts;
+    hopts.seeds = opts.seeds;
+    hopts.baseSeed = opts.baseSeed;
+    hopts.jobs = opts.jobs;
+    check::TickRaceHunter hunter(hopts);
+    for (const core::PressConfig &config : configs)
+        hunter.addScenario(
+            config.label() + "/" + std::to_string(config.nodes) + "n",
+            [&config, &trace, &opts](sim::TieBreak policy,
+                                     std::uint64_t seed) {
+                return runScenario(config, trace, opts.requests, policy,
+                                   seed);
+            });
+    bool races_clean = hunter.run();
+    std::cout << hunter.report();
+
+    std::cout << "\n== press_races: causality/lookahead check ==\n";
+    std::ostringstream table;
     bool causality_clean = true;
-    if (!opts.parallelOnly) {
-        std::cout << "== press_races: tick-race hunt ==\n"
-                  << "(" << configs.size() << " scenarios x (1 fifo + "
-                  << opts.seeds << " permutation seeds), "
-                  << opts.requests << " requests each, " << opts.jobs
-                  << " jobs)\n";
+    for (const core::PressConfig &config : configs)
+        causality_clean &= runCausality(config, trace, opts.requests, table);
 
-        check::TickRaceHunter::Options hopts;
-        hopts.seeds = opts.seeds;
-        hopts.baseSeed = opts.baseSeed;
-        hopts.jobs = opts.jobs;
-        check::TickRaceHunter hunter(hopts);
-        for (const core::PressConfig &config : configs)
-            hunter.addScenario(
-                config.label() + "/" + std::to_string(config.nodes) +
-                    "n",
-                [&config, &trace, &opts](sim::TieBreak policy,
-                                         std::uint64_t seed) {
-                    return runScenario(config, trace, opts.requests,
-                                       policy, seed);
-                });
-        races_clean = hunter.run();
-        std::cout << hunter.report();
-
-        std::cout << "\n== press_races: causality/lookahead check ==\n";
-        std::ostringstream table;
-        for (const core::PressConfig &config : configs)
-            causality_clean &=
-                runCausality(config, trace, opts.requests, table);
-
-        std::ofstream out(opts.tablePath, std::ios::binary);
-        out << table.str();
-        out.close();
-        if (!out)
-            util::fatal("cannot write ", opts.tablePath);
-        std::cout << table.str();
-        std::cout << "lookahead table written to " << opts.tablePath
-                  << "\n";
-    }
-
-    bool parallel_clean = true;
-    if (!opts.parallelThreads.empty()) {
-        std::cout << "\n== press_races: parallel-kernel identity hunt "
-                     "==\n"
-                  << "(" << configs.size()
-                  << " scenarios x (threads=1 baseline + "
-                  << opts.parallelThreads.size()
-                  << " thread counts), " << opts.requests
-                  << " requests each)\n";
-
-        check::TickRaceHunter::Options popts;
-        popts.jobs = opts.jobs;
-        popts.seedSchedule = opts.parallelThreads;
-        check::TickRaceHunter phunter(popts);
-        for (const core::PressConfig &config : configs)
-            phunter.addScenario(
-                config.label() + "/" + std::to_string(config.nodes) +
-                    "n/threads",
-                [&config, &trace, &opts](sim::TieBreak,
-                                         std::uint64_t threads) {
-                    return runParallelScenario(config, trace,
-                                               opts.requests, threads);
-                });
-        parallel_clean = phunter.run();
-        std::cout << phunter.report();
-    }
+    std::ofstream out(opts.tablePath, std::ios::binary);
+    out << table.str();
+    out.close();
+    if (!out)
+        util::fatal("cannot write ", opts.tablePath);
+    std::cout << table.str();
+    std::cout << "lookahead table written to " << opts.tablePath << "\n";
 
     std::cout << "\nraces: " << (races_clean ? "clean" : "DIVERGED")
               << ", causality: "
-              << (causality_clean ? "clean" : "VIOLATED");
-    if (!opts.parallelThreads.empty())
-        std::cout << ", parallel: "
-                  << (parallel_clean ? "identical" : "DIVERGED");
-    std::cout << "\n";
-    return races_clean && causality_clean && parallel_clean ? 0 : 1;
+              << (causality_clean ? "clean" : "VIOLATED") << "\n";
+    return races_clean && causality_clean ? 0 : 1;
 }
