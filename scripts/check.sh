@@ -17,8 +17,9 @@
 #       --jobs values (see docs/static-analysis.md)
 #   (f) scale: the scalable dissemination paths — a 64-node gossip +
 #       tree smoke with the VIA checker live plus the sharded-vs-
-#       replicated directory oracle (examples/scale_smoke), and a
-#       K=4 tick-race hunt focused on the gossip scenario
+#       replicated directory oracle (examples/scale_smoke), VIA V5 x
+#       gossip/tree cluster runs with the checker aborting, and a K=4
+#       tick-race hunt focused on the gossip scenario
 #   (g) fault: the fault-tolerance subsystem — a churn bench smoke
 #       (kill 2 of 16 mid-trace; zero lost requests is the exit
 #       code) and a crash-scenario byte-identity diff across --jobs
@@ -135,12 +136,21 @@ stage_races() {
 
 stage_scale() {
     cmake -B build -S . -G Ninja -DPRESS_WERROR=ON
-    cmake --build build -j "$(nproc)" --target scale_smoke press_races
+    cmake --build build -j "$(nproc)" --target scale_smoke press_races \
+        trace_server
     # 64-node gossip + tree runs with the VIA invariant checker live,
     # plus the sharded-vs-replicated directory oracle: both modes must
     # answer the whole stream and the drained shard owners' maps must
     # mirror the real caches (see docs/simulation.md).
     ./build/examples/scale_smoke
+    # VIA V5 x gossip/tree: the digests and tree load rumors are the
+    # only regular sends left at V5, so they need the receive thread
+    # and must stay off the fixed-size rings (docs/press.md, "The comm
+    # layer"). The checker aborts on the first VIA violation.
+    for diss in g4 t4; do
+        PRESS_CHECK=1 ./build/examples/trace_server --proto via \
+            --version 5 --nodes 8 --dissemination "$diss" --requests 30000
+    done
     # Tick-race hunt focused on the gossip + sharded scenario: K=4
     # seeded equal-tick permutations against the FIFO baseline.
     ./build/tools/press_races --seeds 4 --requests 8000 --filter G4 \

@@ -1,6 +1,64 @@
 #include "comm.hpp"
 
+#include "util/logging.hpp"
+
 namespace press::core {
+
+namespace {
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+    using Fs::operator()...;
+};
+
+} // namespace
+
+MsgKind
+kindOf(const Body &body)
+{
+    return std::visit([](const auto &m) { return m.Kind; }, body);
+}
+
+std::uint64_t
+wireBytes(const Body &body, const MessageSizes &s)
+{
+    auto header = [&](int origin) {
+        return origin >= 0 ? s.disseminationHeader : 0;
+    };
+    auto digest = [&](const auto &rumors, std::uint64_t each) {
+        PRESS_ASSERT(!rumors.empty(), "empty digest");
+        for (const auto &r : rumors)
+            PRESS_ASSERT(r.origin >= 0, "digest of a non-rumor message");
+        return rumors.size() * (each + s.disseminationHeader);
+    };
+    return std::visit(
+        Overloaded{
+            [&](const LoadMsg &m) { return s.load + header(m.origin); },
+            [&](const FlowMsg &) { return s.flowRegular; },
+            [&](const ForwardMsg &) { return s.forward; },
+            [&](const CachingMsg &m) { return s.caching + header(m.origin); },
+            [&](const FileMsg &m) { return s.fileHeader + m.bytes; },
+            [&](const LoadDigestMsg &m) { return digest(m.rumors, s.load); },
+            [&](const CachingDigestMsg &m) {
+                return digest(m.rumors, s.caching);
+            },
+            // A short control record plus the dissemination header,
+            // like a caching rumor.
+            [&](const MembershipMsg &) {
+                return s.caching + s.disseminationHeader;
+            },
+        },
+        body);
+}
+
+void
+ClusterComm::send(int dst, Body body)
+{
+    std::uint64_t bytes = wireBytes(body, _sizes);
+    post(dst,
+         WireMsg{kindOf(body), _node, piggyLoad(), std::move(body)},
+         bytes);
+}
 
 KindStats
 CommStats::total() const

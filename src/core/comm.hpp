@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/messages.hpp"
+#include "core/wire.hpp"
 #include "obs/tracer.hpp"
 #include "sim/time.hpp"
 
@@ -67,6 +68,12 @@ using LoadProvider = std::function<int()>;
 class ClusterComm
 {
   public:
+    /** @param node   this end's node id (the envelope's sender)
+     *  @param sizes  wire sizes for the logical-byte accounting */
+    explicit ClusterComm(int node = -1, const MessageSizes &sizes = {})
+        : _node(node), _sizes(sizes)
+    {
+    }
     virtual ~ClusterComm() = default;
 
     /** Install the server's message upcall. */
@@ -79,52 +86,13 @@ class ClusterComm
         _loadProvider = std::move(provider);
     }
 
-    /** Explicit load broadcast to one node. */
-    virtual void sendLoad(int dst, const LoadMsg &msg) = 0;
-
-    /** Forward a request to its service node. */
-    virtual void sendForward(int dst, const ForwardMsg &msg) = 0;
-
-    /** Announce a cache insertion/eviction to one node. */
-    virtual void sendCaching(int dst, const CachingMsg &msg) = 0;
-
     /**
-     * Gossip: one round's load rumors for one peer in a single
-     * message. The default unpacks into per-rumor sends (correct but
-     * message-count-degenerate); the real backends override to put the
-     * whole digest on the wire as one message.
+     * Send @p body to node @p dst. Builds the envelope once — kind,
+     * sender, piggy-backed load — sizes it with wireBytes(), and hands
+     * it to the backend's post(). Which mechanism carries it (and what
+     * it costs) is the backend's business.
      */
-    virtual void
-    sendLoadDigest(int dst, const LoadDigestMsg &msg)
-    {
-        for (const LoadMsg &r : msg.rumors)
-            sendLoad(dst, r);
-    }
-
-    /** Gossip: one round's caching rumors for one peer; see
-     *  sendLoadDigest. */
-    virtual void
-    sendCachingDigest(int dst, const CachingDigestMsg &msg)
-    {
-        for (const CachingMsg &r : msg.rumors)
-            sendCaching(dst, r);
-    }
-
-    /** Transfer a file back to the initial node. */
-    virtual void sendFile(int dst, const FileMsg &msg) = 0;
-
-    /**
-     * Membership update (fault tolerance). Backends carry it like any
-     * short control message; the default is provided so backends
-     * without fault support need no change (it must never be reached
-     * while a FaultPlan is active — the cluster wires real backends).
-     */
-    virtual void
-    sendMembership(int dst, const MembershipMsg &msg)
-    {
-        (void)dst;
-        (void)msg;
-    }
+    void send(int dst, Body body);
 
     // ----------------------------------------------- fault transitions
     //
@@ -219,6 +187,21 @@ class ClusterComm
     }
 
   protected:
+    /**
+     * Put one enveloped message on the wire toward @p dst. @p bytes is
+     * wireBytes() of its body; the backend adds whatever its transport
+     * path charges on top (see piggyWord()) and records the send.
+     */
+    virtual void post(int dst, WireMsg &&w, std::uint64_t bytes) = 0;
+
+    /** Wire bytes of the piggy-backed load word @p w carries (Table 2
+     *  sizes include it wherever a message carries one). */
+    static std::uint64_t
+    piggyWord(const WireMsg &w)
+    {
+        return w.piggyLoad >= 0 ? 4 : 0;
+    }
+
     /** Record an outgoing message for the Tables-2/4 accounting. */
     void
     recordSend(MsgKind kind, std::uint64_t bytes)
@@ -280,6 +263,8 @@ class ClusterComm
      *  down). */
     void countRxError() { ++_rxErrors; }
 
+    int _node;
+    MessageSizes _sizes;
     MessageHandler _handler;
     LoadProvider _loadProvider;
     CommStats _tx;

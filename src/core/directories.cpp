@@ -94,12 +94,6 @@ CacheDirectory::update(int node, storage::FileId file, bool cached)
 }
 
 bool
-CacheDirectory::anyoneCaches(storage::FileId file) const
-{
-    return _masks.find(file) != _masks.end();
-}
-
-bool
 CacheDirectory::caches(int node, storage::FileId file) const
 {
     PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
@@ -112,25 +106,6 @@ CacheDirectory::mask(storage::FileId file) const
 {
     auto it = _masks.find(file);
     return it == _masks.end() ? NodeMask{} : it->second;
-}
-
-int
-CacheDirectory::leastLoadedCaching(storage::FileId file,
-                                   const LoadDirectory &loads) const
-{
-    auto it = _masks.find(file);
-    if (it == _masks.end())
-        return -1;
-    return leastLoadedIn(it->second, loads, _nodes);
-}
-
-int
-CacheDirectory::randomCaching(storage::FileId file, util::Rng &rng) const
-{
-    auto it = _masks.find(file);
-    if (it == _masks.end())
-        return -1;
-    return randomIn(it->second, rng, _nodes);
 }
 
 void

@@ -128,27 +128,11 @@ class CacheDirectory
     /** Process a caching-information update. */
     void update(int node, storage::FileId file, bool cached);
 
-    /** True when any node caches @p file, according to this view. */
-    bool anyoneCaches(storage::FileId file) const;
-
     /** True when @p node is believed to cache @p file. */
     bool caches(int node, storage::FileId file) const;
 
     /** Mask of caching nodes (empty when unknown file). */
     NodeMask mask(storage::FileId file) const;
-
-    /**
-     * The least-loaded node caching @p file according to @p loads
-     * (ties: lowest id); -1 when nobody caches it.
-     */
-    int leastLoadedCaching(storage::FileId file,
-                           const LoadDirectory &loads) const;
-
-    /**
-     * A uniformly random caching node (for the no-load-balancing
-     * configuration); -1 when nobody caches it.
-     */
-    int randomCaching(storage::FileId file, util::Rng &rng) const;
 
     /** Distinct files known to be cached somewhere. */
     std::size_t knownFiles() const { return _masks.size(); }

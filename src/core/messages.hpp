@@ -16,7 +16,8 @@
 
 namespace press::core {
 
-/** Message categories, used for accounting (Tables 2 and 4). */
+/** Message categories, used for accounting (Tables 2 and 4). Every
+ *  message type below names its category as a static `Kind`. */
 enum class MsgKind : int {
     Load = 0, ///< very short: a node's open-connection count
     Flow,     ///< very short: empty-buffer-slot credits
@@ -39,6 +40,7 @@ const char *msgKindName(MsgKind kind);
  * paper's configurations keep their Table-2 sizes.
  */
 struct LoadMsg {
+    static constexpr MsgKind Kind = MsgKind::Load;
     int load = 0;
     int origin = -1;
     std::uint32_t seq = 0;
@@ -56,6 +58,7 @@ enum class FlowChannel : int {
 
 /** Flow-control credit return. */
 struct FlowMsg {
+    static constexpr MsgKind Kind = MsgKind::Flow;
     int credits = 0;
     FlowChannel channel = FlowChannel::Regular;
 };
@@ -68,12 +71,13 @@ enum class ForwardRoute : std::uint8_t {
 };
 
 /**
- * Request forwarding: "service this file for me". origin == -1 is the
- * classic two-party forward (the sender is the initial node);
- * origin >= 0 names the initial node when the request travelled via a
- * shard owner (Lookup -> Serve), so the file goes straight back to it.
+ * Request forwarding: "service this file for me". origin names the
+ * initial node, so a request that travelled via a shard owner
+ * (Lookup -> Serve) still sends its file straight back to it;
+ * origin == -1 means the sender is the initial node.
  */
 struct ForwardMsg {
+    static constexpr MsgKind Kind = MsgKind::Forward;
     storage::FileId file = storage::InvalidFile;
     std::uint32_t tag = 0; ///< initial node's request tag
     int origin = -1;
@@ -85,6 +89,7 @@ struct ForwardMsg {
  *  is the paper's broadcast or a sharded-directory owner update (the
  *  change describes the sender). */
 struct CachingMsg {
+    static constexpr MsgKind Kind = MsgKind::Caching;
     storage::FileId file = storage::InvalidFile;
     bool cached = false; ///< true = now cached, false = evicted
     int origin = -1;
@@ -103,11 +108,13 @@ struct CachingMsg {
  * message count drops.
  */
 struct LoadDigestMsg {
+    static constexpr MsgKind Kind = MsgKind::Load;
     std::vector<LoadMsg> rumors; ///< every entry has origin >= 0
 };
 
 /** Caching-information digest; see LoadDigestMsg. */
 struct CachingDigestMsg {
+    static constexpr MsgKind Kind = MsgKind::Caching;
     std::vector<CachingMsg> rumors; ///< every entry has origin >= 0
 };
 
@@ -119,6 +126,7 @@ struct CachingDigestMsg {
  * FaultPlan is active — healthy runs never carry this kind.
  */
 struct MembershipMsg {
+    static constexpr MsgKind Kind = MsgKind::Membership;
     int subject = -1;
     std::uint8_t state = 0; ///< fault::NodeState
     std::uint32_t epoch = 0;
@@ -128,6 +136,7 @@ struct MembershipMsg {
 
 /** File transfer: the reply to a ForwardMsg. */
 struct FileMsg {
+    static constexpr MsgKind Kind = MsgKind::File;
     storage::FileId file = storage::InvalidFile;
     std::uint32_t tag = 0;  ///< echoes ForwardMsg::tag
     std::uint32_t bytes = 0;

@@ -177,6 +177,47 @@ PressServer::serveDynamic(FileId file, std::uint32_t tag)
                        [this, tag, size]() { reply(tag, size, -1); });
 }
 
+std::optional<NodeMask>
+PressServer::cachingMask(FileId file) const
+{
+    if (!_shardDir)
+        return _cacheDir.mask(file);
+    NodeMask mask;
+    if (_shardDir->lookup(file, mask) ==
+        ShardedCacheDirectory::Answer::Unknown)
+        return std::nullopt;
+    return mask;
+}
+
+int
+PressServer::chooseService(NodeMask mask, int exclude)
+{
+    // Fault mode masks out nodes not currently believed Alive (the
+    // suspect window, before the directory itself is repaired).
+    if (_faultActive)
+        for (int j = 0; j < _config.nodes; ++j)
+            if (mask.test(j) && !_view->aliveNode(j))
+                mask.clear(j);
+    // No load information: any caching node will do.
+    if (_config.dissemination.kind == Dissemination::Kind::None)
+        return randomIn(mask, _rng, _config.nodes, exclude);
+    return leastLoadedIn(mask, _loadDir, _config.nodes, exclude);
+}
+
+bool
+PressServer::worthForwarding(int candidate, int requester_load) const
+{
+    if (_config.dissemination.kind == Dissemination::Kind::None)
+        return true; // no load information to pivot on
+    // Candidate overloaded: forward anyway only when the requester and
+    // the cluster's least-loaded node are overloaded too; otherwise the
+    // requester serves, replicating the file.
+    int t = _config.overloadThreshold;
+    if (_loadDir.load(candidate) <= t)
+        return true;
+    return requester_load > t && _loadDir.load(_loadDir.leastLoaded()) > t;
+}
+
 void
 PressServer::dispatch(FileId file, std::uint32_t tag)
 {
@@ -186,12 +227,21 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
                             obs::requestId(_id, tag),
                             static_cast<std::uint64_t>(d));
     };
+    auto forward = [this, file, tag](int dst, ForwardRoute route) {
+        ++_stats.forwardedOut;
+        PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
+                                obs::requestId(_id, tag), file);
+        if (_forwardsMetric)
+            _forwardsMetric->add();
+        _comm.send(dst, ForwardMsg{file, tag, _id, route});
+        noteAwaiting(tag, dst);
+    };
 
     // Content-oblivious / front-end-routed modes: whatever arrives is
     // served here, from the local cache or disk.
     if (_config.distribution != Distribution::LocalityConscious) {
         decided(obs::DispatchDecision::Oblivious);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
 
@@ -199,178 +249,50 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     if (size >= _config.largeFileCutoff) {
         ++_stats.largeFileServes;
         decided(obs::DispatchDecision::LargeFile);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
     // Rule 2: already cached here -> local.
     if (_cache.contains(file)) {
         decided(obs::DispatchDecision::CachedLocal);
-        serveLocal(file, tag, false);
-        return;
-    }
-    // Sharded directory: rules 3/4 run against the owned shard, the
-    // hot set, or the shard owner (one extra short message).
-    if (_shardDir) {
-        dispatchSharded(file, tag);
+        serveLocal(file, tag);
         return;
     }
 
-    // Rule 3: first access anywhere -> local (brings it into the
-    // cluster cache).
-    if (!_cacheDir.anyoneCaches(file)) {
-        decided(obs::DispatchDecision::FirstTouch);
-        serveLocal(file, tag, false);
-        return;
-    }
-
-    // Rule 4: pick a service node among the caching nodes. Fault mode
-    // additionally masks out nodes not currently believed Alive (the
-    // suspect window, before the directory itself is repaired).
-    int candidate;
-    if (_faultActive) {
-        NodeMask mask = _cacheDir.mask(file);
-        for (int j = 0; j < _config.nodes; ++j)
-            if (mask.test(j) && !_view->aliveNode(j))
-                mask.clear(j);
-        if (mask.none()) {
-            decided(obs::DispatchDecision::FirstTouch);
-            serveLocal(file, tag, false);
-            return;
-        }
-        if (_config.dissemination.kind == Dissemination::Kind::None)
-            candidate = randomIn(mask, _rng, _config.nodes);
-        else
-            candidate = leastLoadedIn(mask, _loadDir, _config.nodes);
-    } else if (_config.dissemination.kind == Dissemination::Kind::None) {
-        // No load information: any caching node will do.
-        candidate = _cacheDir.randomCaching(file, _rng);
-    } else {
-        candidate = _cacheDir.leastLoadedCaching(file, _loadDir);
-    }
-    PRESS_ASSERT(candidate >= 0, "directory said cached but empty mask");
-    if (candidate == _id) {
-        decided(obs::DispatchDecision::SelfBest);
-        serveLocal(file, tag, false);
-        return;
-    }
-
-    bool forward = true;
-    if (_config.dissemination.kind != Dissemination::Kind::None) {
-        int t = _config.overloadThreshold;
-        if (_loadDir.load(candidate) > t) {
-            // Candidate overloaded: forward anyway only when this node
-            // and the cluster's least-loaded node are overloaded too;
-            // otherwise serve locally, replicating the file.
-            int least = _loadDir.leastLoaded();
-            bool all_overloaded =
-                load() > t && _loadDir.load(least) > t;
-            forward = all_overloaded;
-        }
-    }
-
-    if (forward) {
-        ++_stats.forwardedOut;
-        decided(obs::DispatchDecision::Forward);
-        PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
-                                obs::requestId(_id, tag), file);
-        if (_forwardsMetric)
-            _forwardsMetric->add();
-        _comm.sendForward(candidate, ForwardMsg{file, tag});
-        noteAwaiting(tag, candidate);
-    } else {
-        ++_stats.overloadLocalServes;
-        decided(obs::DispatchDecision::OverloadLocal);
-        serveLocal(file, tag, true);
-    }
-}
-
-void
-PressServer::dispatchSharded(FileId file, std::uint32_t tag)
-{
-    auto decided = [this, tag](obs::DispatchDecision d) {
-        PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ReqDispatch,
-                            obs::requestId(_id, tag),
-                            static_cast<std::uint64_t>(d));
-    };
-
-    NodeMask mask;
-    auto answer = _shardDir->lookup(file, mask);
-
-    if (answer == ShardedCacheDirectory::Answer::Unknown) {
-        // Not our shard and not hot: ask the owner to route the
-        // request (rule 3/4 run there). One extra short message on the
-        // miss path buys O(F/S) directory state per node.
+    std::optional<NodeMask> mask = cachingMask(file);
+    if (!mask) {
+        // Sharded, not our shard and not hot: ask the owner to route
+        // the request (rules 3/4 run there). One extra short message
+        // on the miss path buys O(F/S) directory state per node.
         int owner = _shardDir->ownerOf(file);
         PRESS_ASSERT(owner != _id, "owned file reported Unknown");
         ++_stats.dirLookupsOut;
-        ++_stats.forwardedOut;
         decided(obs::DispatchDecision::DirLookup);
-        PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
-                                obs::requestId(_id, tag), file);
-        if (_forwardsMetric)
-            _forwardsMetric->add();
-        _comm.sendForward(
-            owner, ForwardMsg{file, tag, _id, ForwardRoute::Lookup});
-        noteAwaiting(tag, owner);
+        forward(owner, ForwardRoute::Lookup);
         return;
     }
 
-    // Rule 3: authoritative (or hot) answer says nobody caches it.
-    if (mask.none()) {
+    // Rule 3: nobody (alive) caches it -> local, bringing it into the
+    // cluster cache. A stale hot entry only costs a disk read at the
+    // service node (its handleForward falls back to disk).
+    int candidate = chooseService(*mask, -1);
+    if (candidate < 0) {
         decided(obs::DispatchDecision::FirstTouch);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
-
-    // Rule 4 against the local answer; identical to the replicated
-    // logic. A stale hot entry only costs a disk read at the service
-    // node (its handleForward falls back to disk and re-replicates).
-    if (_faultActive) {
-        for (int j = 0; j < _config.nodes; ++j)
-            if (mask.test(j) && !_view->aliveNode(j))
-                mask.clear(j);
-        if (mask.none()) {
-            decided(obs::DispatchDecision::FirstTouch);
-            serveLocal(file, tag, false);
-            return;
-        }
-    }
-    int candidate;
-    if (_config.dissemination.kind == Dissemination::Kind::None) {
-        candidate = randomIn(mask, _rng, _config.nodes);
-    } else {
-        candidate = leastLoadedIn(mask, _loadDir, _config.nodes);
-    }
-    PRESS_ASSERT(candidate >= 0, "non-empty mask without candidate");
+    // Rule 4: the chosen service node, unless that is this node or
+    // the overload pivot says replicate here.
     if (candidate == _id) {
         decided(obs::DispatchDecision::SelfBest);
-        serveLocal(file, tag, false);
-        return;
-    }
-
-    bool forward = true;
-    if (_config.dissemination.kind != Dissemination::Kind::None) {
-        int t = _config.overloadThreshold;
-        if (_loadDir.load(candidate) > t) {
-            int least = _loadDir.leastLoaded();
-            forward = load() > t && _loadDir.load(least) > t;
-        }
-    }
-
-    if (forward) {
-        ++_stats.forwardedOut;
+        serveLocal(file, tag);
+    } else if (worthForwarding(candidate, load())) {
         decided(obs::DispatchDecision::Forward);
-        PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
-                                obs::requestId(_id, tag), file);
-        if (_forwardsMetric)
-            _forwardsMetric->add();
-        _comm.sendForward(
-            candidate, ForwardMsg{file, tag, _id, ForwardRoute::Serve});
-        noteAwaiting(tag, candidate);
+        forward(candidate, ForwardRoute::Serve);
     } else {
         ++_stats.overloadLocalServes;
         decided(obs::DispatchDecision::OverloadLocal);
-        serveLocal(file, tag, true);
+        serveLocal(file, tag);
     }
 }
 
@@ -387,19 +309,17 @@ PressServer::handleDirLookup(int from, const ForwardMsg &msg)
         _cal.service.dirLookup, CatService, [this, file, tag, origin]() {
             if (_crashed)
                 return;
-            NodeMask mask;
-            auto answer = _shardDir->lookup(file, mask);
-
+            // Bounce home: the initial node serves (first touch or
+            // overload replication) from its own disk.
             auto send_home = [&]() {
-                _comm.sendForward(
-                    origin,
-                    ForwardMsg{file, tag, origin, ForwardRoute::Home});
+                _comm.send(origin,
+                           ForwardMsg{file, tag, origin, ForwardRoute::Home});
             };
 
-            if (answer != ShardedCacheDirectory::Answer::Owner) {
+            if (!_shardDir->owns(file)) {
                 // Only possible mid-churn: ownership moved while the
-                // lookup was in flight. Bounce home — the initial node
-                // serves (and replicates) rather than chasing owners.
+                // lookup was in flight. The initial node serves rather
+                // than chasing owners.
                 PRESS_ASSERT(_faultActive,
                              "lookup routed to non-owner for file ",
                              file);
@@ -407,65 +327,32 @@ PressServer::handleDirLookup(int from, const ForwardMsg &msg)
                 return;
             }
 
-            if (_faultActive) {
-                for (int j = 0; j < _config.nodes; ++j)
-                    if (mask.test(j) && !_view->aliveNode(j))
-                        mask.clear(j);
-            }
-
-            // Candidate pick excludes the initial node: if it were the
-            // best caching node its rule 2 would have kept the request,
-            // so its directory bit is stale and it serves from disk at
+            // The pick excludes the initial node: if it were the best
+            // caching node its rule 2 would have kept the request, so
+            // its directory bit is stale and it serves from disk at
             // home just the same.
-            int candidate;
-            if (_config.dissemination.kind == Dissemination::Kind::None)
-                candidate = randomIn(mask, _rng, _config.nodes, origin);
-            else
-                candidate =
-                    leastLoadedIn(mask, _loadDir, _config.nodes, origin);
-            if (candidate < 0) {
-                // Nobody (else) caches it: first touch at the initial
-                // node, exactly the paper's rule 3.
-                send_home();
-                return;
-            }
+            int candidate = chooseService(*cachingMask(file), origin);
             if (candidate == _id) {
                 // The owner itself is the service node: no third hop.
                 serviceRemote(origin, file, tag);
-                return;
-            }
-            if (_faultActive) {
-                // No third hop under churn: the initial node tracks
-                // only the owner it asked, so a three-party chain
-                // would fall outside its retry bookkeeping. Serving
-                // home costs one disk read and keeps recovery exact.
+            } else if (candidate >= 0 && !_faultActive &&
+                       worthForwarding(candidate, _loadDir.load(origin))) {
+                _comm.send(candidate,
+                           ForwardMsg{file, tag, origin, ForwardRoute::Serve});
+            } else {
+                // Nobody (else) caches it, or the candidate is
+                // overloaded while the initial node is not. Under churn
+                // there is no third hop at all: the initial node tracks
+                // only the owner it asked, so a three-party chain would
+                // fall outside its retry bookkeeping.
                 send_home();
-                return;
             }
-
-            bool forward = true;
-            if (_config.dissemination.kind != Dissemination::Kind::None) {
-                int t = _config.overloadThreshold;
-                if (_loadDir.load(candidate) > t) {
-                    int least = _loadDir.leastLoaded();
-                    forward = _loadDir.load(origin) > t &&
-                              _loadDir.load(least) > t;
-                }
-            }
-            if (forward)
-                _comm.sendForward(
-                    candidate,
-                    ForwardMsg{file, tag, origin, ForwardRoute::Serve});
-            else
-                send_home(); // initial node serves and replicates
         });
 }
 
 void
-PressServer::serveLocal(FileId file, std::uint32_t tag,
-                        bool count_overload_serve)
+PressServer::serveLocal(FileId file, std::uint32_t tag)
 {
-    (void)count_overload_serve;
     std::uint64_t size = _files.size(file);
 
     if (_cache.contains(file)) {
@@ -638,7 +525,7 @@ PressServer::onMessage(const Incoming &in)
             PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::ReqForward,
                                   obs::requestId(_id, msg->tag),
                                   msg->file);
-            serveLocal(msg->file, msg->tag, false);
+            serveLocal(msg->file, msg->tag);
             break;
         }
         break;
@@ -683,7 +570,7 @@ PressServer::serviceRemote(int home, FileId file, std::uint32_t tag)
     auto send_back = [this, home, file, size, tag]() {
         PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::ReqService,
                               obs::requestId(home, tag), file);
-        _comm.sendFile(home, FileMsg{file, tag, size});
+        _comm.send(home, FileMsg{file, tag, size});
         // Clamp under fault: a crash zeroes the counter while disk
         // reads for forwarded requests are still in flight.
         if (!_faultActive || _servicingRemote > 0)
@@ -746,8 +633,7 @@ PressServer::insertIntoCache(FileId file)
             if (_shardDir->owns(f))
                 _shardDir->update(_id, f, cached);
             else
-                _comm.sendCaching(_shardDir->ownerOf(f),
-                                  CachingMsg{f, cached});
+                _comm.send(_shardDir->ownerOf(f), CachingMsg{f, cached});
         };
         shard_update(file, true);
         for (const auto &ev : evicted) {
@@ -786,9 +672,9 @@ PressServer::insertIntoCache(FileId file)
     for (int j = 0; j < _config.nodes; ++j) {
         if (j == _id)
             continue;
-        _comm.sendCaching(j, CachingMsg{file, true});
+        _comm.send(j, CachingMsg{file, true});
         for (const auto &ev : evicted)
-            _comm.sendCaching(j, CachingMsg{ev.file, false});
+            _comm.send(j, CachingMsg{ev.file, false});
     }
 }
 
@@ -815,7 +701,7 @@ PressServer::loadChanged()
         for (int j = 0; j < _config.nodes; ++j) {
             if (j == _id)
                 continue;
-            _comm.sendLoad(j, LoadMsg{current});
+            _comm.send(j, LoadMsg{current});
         }
         return;
       }
@@ -842,12 +728,11 @@ void
 PressServer::sendRumor(int dst, const Rumor &rumor)
 {
     if (rumor.isLoad)
-        _comm.sendLoad(
-            dst, LoadMsg{rumor.load, rumor.origin, rumor.seq, rumor.hops});
+        _comm.send(dst,
+                   LoadMsg{rumor.load, rumor.origin, rumor.seq, rumor.hops});
     else
-        _comm.sendCaching(dst, CachingMsg{rumor.file, rumor.cached,
-                                          rumor.origin, rumor.seq,
-                                          rumor.hops});
+        _comm.send(dst, CachingMsg{rumor.file, rumor.cached, rumor.origin,
+                                   rumor.seq, rumor.hops});
 }
 
 void
@@ -986,9 +871,9 @@ PressServer::runGossipRound()
     for (std::size_t i = 0; i < _digestsUsed; ++i) {
         PeerDigest &d = _digestScratch[i];
         if (!d.load.rumors.empty())
-            _comm.sendLoadDigest(d.peer, d.load);
+            _comm.send(d.peer, d.load);
         if (!d.caching.rumors.empty())
-            _comm.sendCachingDigest(d.peer, d.caching);
+            _comm.send(d.peer, d.caching);
     }
     // Re-arm only while rumors are pending: an idle cluster goes
     // quiet and the simulation can drain.
@@ -1296,7 +1181,7 @@ PressServer::disseminateMembership(const MembershipMsg &msg)
         if (dst == _id || dst == msg.subject || !_view->aliveNode(dst))
             return;
         ++_stats.membershipSends;
-        _comm.sendMembership(dst, out);
+        _comm.send(dst, out);
     };
 
     if (_dissem && kind == Kind::Gossip) {
@@ -1355,7 +1240,7 @@ PressServer::reannounceMovedShards(const NodeMask &before,
         if (now_owner == _id)
             _shardDir->update(_id, r.file, true);
         else
-            _comm.sendCaching(now_owner, CachingMsg{r.file, true});
+            _comm.send(now_owner, CachingMsg{r.file, true});
     }
 }
 
@@ -1399,7 +1284,7 @@ PressServer::recoverFromDeath(int peer)
                             static_cast<std::uint64_t>(p.retries));
         if (p.retries > _config.fault.retry.maxAttempts) {
             // Out of budget: stop going remote, serve from local disk.
-            serveLocal(p.file, tag, false);
+            serveLocal(p.file, tag);
             continue;
         }
         _sim.schedule(_config.fault.retry.delayFor(attempt),
@@ -1428,7 +1313,7 @@ PressServer::recoverFromRejoin(int peer)
         m.epoch = _view->epoch(n);
         m.origin = _id;
         m.hops = 1;
-        _comm.sendMembership(peer, m);
+        _comm.send(peer, m);
         ++_stats.membershipSends;
     }
     _loadDir.update(peer, 0);
@@ -1451,7 +1336,7 @@ PressServer::recoverFromRejoin(int peer)
             break;
         ++announced;
         ++_stats.reAnnouncedFiles;
-        _comm.sendCaching(peer, CachingMsg{r.file, true});
+        _comm.send(peer, CachingMsg{r.file, true});
     }
 }
 

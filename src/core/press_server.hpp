@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "core/comm.hpp"
@@ -234,19 +235,32 @@ class PressServer
      *  single-node clusters (nothing to tell anyone). */
     enum class LoadPath { Off, PiggyBack, Broadcast, Gossip, Tree };
 
-    /** Distribution decision for a parsed request. */
+    /** Distribution decision for a parsed request (rules 1-4): serve
+     *  locally, forward to a service node, or ask the shard owner. */
     void dispatch(storage::FileId file, std::uint32_t tag);
 
-    /** Rules 3/4 against the sharded cache directory: answer locally
-     *  from the owned shard or hot set, else route via the owner. */
-    void dispatchSharded(storage::FileId file, std::uint32_t tag);
-
-    /** Shard owner processes a ForwardRoute::Lookup. */
+    /** Shard owner processes a ForwardRoute::Lookup: route the request
+     *  to a service node, serve it here, or bounce it home. */
     void handleDirLookup(int from, const ForwardMsg &msg);
 
+    /** Rules 3/4 input: the nodes caching @p file as far as this node
+     *  can tell (replicated directory, owned shard or hot set), or
+     *  nullopt when only the shard owner knows. */
+    std::optional<NodeMask> cachingMask(storage::FileId file) const;
+
+    /** Rule 4's pick among @p mask minus @p exclude and (fault mode)
+     *  nodes not believed Alive: least-loaded, or random under NLB;
+     *  -1 when nobody is left. */
+    int chooseService(NodeMask mask, int exclude);
+
+    /** Rule 4's overload pivot: false when @p candidate is overloaded
+     *  while the requester (whose load is @p requester_load) or the
+     *  cluster's least-loaded node is not — the requester then serves
+     *  and replicates the file. */
+    bool worthForwarding(int candidate, int requester_load) const;
+
     /** Service a request on this node (as initial node). */
-    void serveLocal(storage::FileId file, std::uint32_t tag,
-                    bool count_overload_serve);
+    void serveLocal(storage::FileId file, std::uint32_t tag);
 
     /** Dynamic-content class: generate the page on the CPU, bypassing
      *  dispatch, cache, and disk entirely. */

@@ -10,8 +10,8 @@ using osnode::CatIntraComm;
 TcpComm::TcpComm(sim::Simulator &sim, int node, int nodes,
                  sim::FifoResource &cpu, net::Fabric &fabric,
                  const Calibration &cal, tcpnet::TcpCosts stack_costs)
-    : _sim(sim),
-      _node(node),
+    : ClusterComm(node, cal.sizes),
+      _sim(sim),
       _cpu(cpu),
       _cal(cal),
       _stack(sim, fabric, node, cpu, CatIntraComm, stack_costs),
@@ -42,64 +42,7 @@ TcpComm::connectMesh(std::vector<std::unique_ptr<TcpComm>> &comms,
 }
 
 void
-TcpComm::sendLoad(int dst, const LoadMsg &msg)
-{
-    std::uint64_t bytes = _cal.sizes.load;
-    if (msg.origin >= 0)
-        bytes += _cal.sizes.disseminationHeader;
-    sendWire(dst, MsgKind::Load, bytes, msg);
-}
-
-void
-TcpComm::sendForward(int dst, const ForwardMsg &msg)
-{
-    sendWire(dst, MsgKind::Forward, _cal.sizes.forward, msg);
-}
-
-void
-TcpComm::sendCaching(int dst, const CachingMsg &msg)
-{
-    std::uint64_t bytes = _cal.sizes.caching;
-    if (msg.origin >= 0)
-        bytes += _cal.sizes.disseminationHeader;
-    sendWire(dst, MsgKind::Caching, bytes, msg);
-}
-
-void
-TcpComm::sendLoadDigest(int dst, const LoadDigestMsg &msg)
-{
-    PRESS_ASSERT(!msg.rumors.empty(), "empty load digest");
-    std::uint64_t bytes =
-        msg.rumors.size() * (_cal.sizes.load + _cal.sizes.disseminationHeader);
-    sendWire(dst, MsgKind::Load, bytes, msg);
-}
-
-void
-TcpComm::sendCachingDigest(int dst, const CachingDigestMsg &msg)
-{
-    PRESS_ASSERT(!msg.rumors.empty(), "empty caching digest");
-    std::uint64_t bytes =
-        msg.rumors.size() *
-        (_cal.sizes.caching + _cal.sizes.disseminationHeader);
-    sendWire(dst, MsgKind::Caching, bytes, msg);
-}
-
-void
-TcpComm::sendFile(int dst, const FileMsg &msg)
-{
-    sendWire(dst, MsgKind::File, _cal.sizes.fileHeader + msg.bytes, msg);
-}
-
-void
-TcpComm::sendMembership(int dst, const MembershipMsg &msg)
-{
-    sendWire(dst, MsgKind::Membership,
-             _cal.sizes.caching + _cal.sizes.disseminationHeader, msg);
-}
-
-void
-TcpComm::sendWire(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                  Body body)
+TcpComm::post(int dst, WireMsg &&w, std::uint64_t logical_bytes)
 {
     PRESS_ASSERT(dst >= 0 && dst < static_cast<int>(_channelTo.size()) &&
                      dst != _node,
@@ -115,15 +58,8 @@ TcpComm::sendWire(int dst, MsgKind kind, std::uint64_t logical_bytes,
     tcpnet::TcpChannel *channel = _channelTo[dst];
     PRESS_ASSERT(channel, "mesh not connected");
 
-    WireMsg w;
-    w.kind = kind;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = std::move(body);
-    if (w.piggyLoad >= 0)
-        logical_bytes += 4; // piggy-backed load word (Table 2 sizes)
-
-    recordSend(kind, logical_bytes);
+    logical_bytes += piggyWord(w);
+    recordSend(w.kind, logical_bytes);
 
     // PRESS-side send machinery (digest + semaphore + send thread), then
     // the kernel stack takes over inside TcpChannel::send.

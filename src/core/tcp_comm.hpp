@@ -46,27 +46,17 @@ class TcpComm : public ClusterComm
     static void connectMesh(std::vector<std::unique_ptr<TcpComm>> &comms,
                             std::uint64_t sockbuf = 64 * 1024);
 
-    void sendLoad(int dst, const LoadMsg &msg) override;
-    void sendForward(int dst, const ForwardMsg &msg) override;
-    void sendCaching(int dst, const CachingMsg &msg) override;
-    void sendLoadDigest(int dst, const LoadDigestMsg &msg) override;
-    void sendCachingDigest(int dst, const CachingDigestMsg &msg) override;
-    void sendFile(int dst, const FileMsg &msg) override;
-    void sendMembership(int dst, const MembershipMsg &msg) override;
-
     const tcpnet::TcpStack &stack() const { return _stack; }
 
+  protected:
+    /** Every kind takes the same path: PRESS's send thread, then the
+     *  kernel stack. */
+    void post(int dst, WireMsg &&w, std::uint64_t bytes) override;
+
   private:
-    using Body = decltype(WireMsg::body);
-
-    /** Common send path. */
-    void sendWire(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                  Body body);
-
     void handleArrival(const net::Payload &payload);
 
     sim::Simulator &_sim;
-    int _node;
     sim::FifoResource &_cpu;
     const Calibration &_cal;
     tcpnet::TcpStack _stack;

@@ -21,6 +21,13 @@ constexpr std::uint64_t SlotBytes = 128;
 /** Extra pre-posted receive descriptors for ungated (flow) traffic. */
 constexpr int FlowReserve = 8;
 
+constexpr std::size_t Channels =
+    static_cast<std::size_t>(FlowChannel::NumChannels);
+
+/** Checker/trace names of the flow-controlled channels. */
+constexpr const char *ChannelNames[Channels] = {"regular", "forward",
+                                                "caching", "file"};
+
 } // namespace
 
 /** Per-peer connection state. */
@@ -28,14 +35,10 @@ struct ViaComm::Peer {
     int id = -1;
     via::VirtualInterface *vi = nullptr;
 
-    // ---- sender side: credits for the peer's receive resources ----
-    CreditGate regularGate;
-    CreditGate forwardGate;
-    CreditGate cachingGate;
-    CreditGate fileGate;
-    std::uint64_t forwardSeq = 0;
-    std::uint64_t cachingSeq = 0;
-    std::uint64_t fileSeq = 0;
+    // ---- sender side, per FlowChannel: credits for the peer's receive
+    // resources, and the next ring slot to write (rings only) ----
+    std::array<CreditGate, Channels> gates;
+    std::array<std::uint64_t, Channels> seqs{};
 
     // Remote bases (peer's address space) this node writes to.
     Address rForwardRing = 0;
@@ -55,40 +58,73 @@ struct ViaComm::Peer {
     MemoryRegion recvBufs; ///< backing for pre-posted recv descriptors
     MemoryRegion staging;  ///< send-side bounce buffers toward the peer
 
-    // Credit batching back to the peer for what we consumed.
-    std::unique_ptr<CreditReturner> regularReturn;
-    std::unique_ptr<CreditReturner> forwardReturn;
-    std::unique_ptr<CreditReturner> cachingReturn;
-    std::unique_ptr<CreditReturner> fileReturn;
+    // Credit batching back to the peer for what we consumed, per
+    // FlowChannel.
+    std::array<std::unique_ptr<CreditReturner>, Channels> returns;
 
     Peer(int id_, int control_window, int file_window)
         : id(id_),
-          regularGate(control_window),
-          forwardGate(control_window),
-          cachingGate(control_window),
-          fileGate(file_window)
+          gates{CreditGate(control_window), CreditGate(control_window),
+                CreditGate(control_window), CreditGate(file_window)}
     {
+    }
+
+    CreditGate &
+    gate(FlowChannel c)
+    {
+        return gates[static_cast<std::size_t>(c)];
+    }
+    std::uint64_t &
+    seq(FlowChannel c)
+    {
+        return seqs[static_cast<std::size_t>(c)];
+    }
+    CreditReturner &
+    returner(FlowChannel c)
+    {
+        return *returns[static_cast<std::size_t>(c)];
     }
 };
 
 ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                  sim::FifoResource &cpu, net::Fabric &fabric,
                  check::ViaChecker *checker)
-    : _sim(sim),
-      _node(node),
+    : ClusterComm(node, config.calibration.sizes),
+      _sim(sim),
       _config(config),
       _cal(_config.calibration),
       _cpu(cpu),
       _nic(std::make_unique<via::ViaNic>(sim, fabric, node)),
       _maxTransfer(config.largeFileCutoff)
 {
-    // A receive thread exists whenever some message type still travels
-    // as a regular two-sided send (Section 3.4: "this version does not
-    // require a receive thread" only from V3 on, with piggy-backing).
-    _recvThreadNeeded =
-        !usesRmw(MsgKind::File) ||
-        (_config.dissemination.kind == Dissemination::Kind::Broadcast &&
-         !_config.dissemination.useRmw);
+    // Table 3, plus the load rows the paper's dissemination variants
+    // add. Digests are variable-size, so they never go into a fixed
+    // ring slot; membership rides the caching ring when there is one.
+    int v = static_cast<int>(_config.version);
+    Path ring = v >= 2 ? Path::RmwRing : Path::Regular;
+    _pathOf.fill(Path::Regular);
+    _pathOf[BodyIndex<FlowMsg>] = v >= 1 ? Path::RmwWord : Path::Regular;
+    _pathOf[BodyIndex<ForwardMsg>] = ring;
+    _pathOf[BodyIndex<CachingMsg>] = ring;
+    _pathOf[BodyIndex<MembershipMsg>] = ring;
+    _pathOf[BodyIndex<FileMsg>] = v >= 3 ? Path::RmwFile : Path::Regular;
+    if (_config.dissemination.useRmw)
+        _pathOf[BodyIndex<LoadMsg>] = Path::RmwWord;
+
+    // A receive thread exists whenever some body this configuration
+    // sends still travels as a regular two-sided send (Section 3.4:
+    // "this version does not require a receive thread" only from V3
+    // on, with piggy-backing). Load bodies exist only under the
+    // dissemination kinds that send them.
+    using Kind = Dissemination::Kind;
+    Kind kind = _config.dissemination.kind;
+    std::array<bool, std::variant_size_v<Body>> sent;
+    sent.fill(true);
+    sent[BodyIndex<LoadMsg>] = kind == Kind::Broadcast || kind == Kind::Tree;
+    sent[BodyIndex<LoadDigestMsg>] = kind == Kind::Gossip;
+    sent[BodyIndex<CachingDigestMsg>] = kind == Kind::Gossip;
+    for (std::size_t i = 0; i < sent.size(); ++i)
+        _recvThreadNeeded |= sent[i] && _pathOf[i] == Path::Regular;
 
     int nodes = _config.nodes;
 
@@ -128,14 +164,9 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
 
         if (_checker) {
             std::string to = "->" + std::to_string(j);
-            p->regularGate.setObserver(
-                _checker->creditHook(_node, "regular" + to));
-            p->forwardGate.setObserver(
-                _checker->creditHook(_node, "forward" + to));
-            p->cachingGate.setObserver(
-                _checker->creditHook(_node, "caching" + to));
-            p->fileGate.setObserver(
-                _checker->creditHook(_node, "file" + to));
+            for (std::size_t c = 0; c < Channels; ++c)
+                p->gates[c].setObserver(
+                    _checker->creditHook(_node, ChannelNames[c] + to));
         }
 
         // Receive-side regions, with write hooks feeding the poll paths.
@@ -193,29 +224,22 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                     _maxTransfer,
                 1));
 
-        // Credit returners toward this peer.
-        p->regularReturn = std::make_unique<CreditReturner>(
-            _config.controlCreditBatch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::Regular);
-            });
-        p->forwardReturn = std::make_unique<CreditReturner>(
-            _config.controlCreditBatch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::Forward);
-            });
-        p->cachingReturn = std::make_unique<CreditReturner>(
-            _config.controlCreditBatch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::Caching);
-            });
-        // RMW file-ring slots are acknowledged one by one (the slot
-        // word is the acknowledgement), matching Table 4's near-1:1
-        // Flow:File ratio in V3-V5; the regular path batches.
-        int file_batch = usesRmw(MsgKind::File)
+        // Credit returners toward this peer. RMW file-ring slots are
+        // acknowledged one by one (the slot word is the
+        // acknowledgement), matching Table 4's near-1:1 Flow:File
+        // ratio in V3-V5; the regular path batches.
+        int file_batch = _pathOf[BodyIndex<FileMsg>] == Path::RmwFile
                              ? 1
                              : _config.fileCreditBatch;
-        p->fileReturn = std::make_unique<CreditReturner>(
-            file_batch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::File);
-            });
+        for (std::size_t c = 0; c < Channels; ++c) {
+            auto channel = static_cast<FlowChannel>(c);
+            p->returns[c] = std::make_unique<CreditReturner>(
+                channel == FlowChannel::File ? file_batch
+                                             : _config.controlCreditBatch,
+                [this, from, channel](int n) {
+                    returnCredits(from, n, channel);
+                });
+        }
 
         _peers[j] = std::move(peer);
     }
@@ -295,29 +319,9 @@ ViaComm::setTracer(obs::Tracer *tracer, int node)
                 };
             return observer;
         };
-        peer->regularGate.setStallObserver(stall(FlowChannel::Regular));
-        peer->forwardGate.setStallObserver(stall(FlowChannel::Forward));
-        peer->cachingGate.setStallObserver(stall(FlowChannel::Caching));
-        peer->fileGate.setStallObserver(stall(FlowChannel::File));
-    }
-}
-
-bool
-ViaComm::usesRmw(MsgKind kind) const
-{
-    int v = static_cast<int>(_config.version);
-    switch (kind) {
-      case MsgKind::Flow:
-        return v >= 1;
-      case MsgKind::Forward:
-      case MsgKind::Caching:
-        return v >= 2;
-      case MsgKind::File:
-        return v >= 3;
-      case MsgKind::Load:
-        return _config.dissemination.useRmw;
-      default:
-        return false;
+        for (std::size_t c = 0; c < Channels; ++c)
+            peer->gates[c].setStallObserver(
+                stall(static_cast<FlowChannel>(c)));
     }
 }
 
@@ -356,153 +360,32 @@ ViaComm::pollSweepCost() const
 // ---------------------------------------------------------------------
 
 void
-ViaComm::sendLoad(int dst, const LoadMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::Load;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    std::uint64_t bytes = _cal.sizes.load;
-    if (msg.origin >= 0)
-        bytes += _cal.sizes.disseminationHeader;
-    // Dissemination rumors are full messages (origin/seq/hops), never
-    // the single overwritable RMW load word — rumors about different
-    // origins must not clobber each other.
-    PRESS_ASSERT(msg.origin < 0 || !usesRmw(MsgKind::Load),
-                 "gossip/tree load rumors cannot use the RMW load word");
-    if (usesRmw(MsgKind::Load))
-        sendRmwWord(dst, MsgKind::Load, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Load, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendLoadDigest(int dst, const LoadDigestMsg &msg)
-{
-    PRESS_ASSERT(!msg.rumors.empty(), "empty load digest");
-    PRESS_ASSERT(!usesRmw(MsgKind::Load),
-                 "gossip digests cannot use the RMW load word");
-    std::uint64_t bytes = 0;
-    for (const LoadMsg &r : msg.rumors) {
-        PRESS_ASSERT(r.origin >= 0, "digest of a non-rumor load");
-        bytes += _cal.sizes.load + _cal.sizes.disseminationHeader;
-    }
-    WireMsg w;
-    w.kind = MsgKind::Load;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    sendRegular(dst, MsgKind::Load, bytes, std::move(w), /*gated=*/true);
-}
-
-void
-ViaComm::sendForward(int dst, const ForwardMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::Forward;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    if (usesRmw(MsgKind::Forward))
-        sendRmwControl(dst, MsgKind::Forward, _cal.sizes.forward,
-                       std::move(w));
-    else
-        sendRegular(dst, MsgKind::Forward, _cal.sizes.forward,
-                    std::move(w), /*gated=*/true);
-}
-
-void
-ViaComm::sendCaching(int dst, const CachingMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::Caching;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    std::uint64_t bytes = _cal.sizes.caching;
-    if (msg.origin >= 0)
-        bytes += _cal.sizes.disseminationHeader;
-    if (usesRmw(MsgKind::Caching))
-        sendRmwControl(dst, MsgKind::Caching, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Caching, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendCachingDigest(int dst, const CachingDigestMsg &msg)
-{
-    PRESS_ASSERT(!msg.rumors.empty(), "empty caching digest");
-    std::uint64_t bytes = 0;
-    for (const CachingMsg &r : msg.rumors) {
-        PRESS_ASSERT(r.origin >= 0, "digest of a non-rumor caching msg");
-        bytes += _cal.sizes.caching + _cal.sizes.disseminationHeader;
-    }
-    WireMsg w;
-    w.kind = MsgKind::Caching;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    if (usesRmw(MsgKind::Caching))
-        sendRmwControl(dst, MsgKind::Caching, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Caching, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendFile(int dst, const FileMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::File;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    if (usesRmw(MsgKind::File)) {
-        sendRmwFile(dst, msg.bytes, std::move(w));
-    } else {
-        sendRegular(dst, MsgKind::File,
-                    _cal.sizes.fileHeader + msg.bytes, std::move(w),
-                    /*gated=*/true);
-    }
-}
-
-void
-ViaComm::sendMembership(int dst, const MembershipMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::Membership;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    // Same footprint as a caching rumor: a short control record plus
-    // the dissemination header (origin/seq/hops).
-    std::uint64_t bytes =
-        _cal.sizes.caching + _cal.sizes.disseminationHeader;
-    // Rides the caching channel's resources (ring + window) when that
-    // channel is RMW: membership traffic exists only during churn and
-    // must not need rings of its own.
-    if (usesRmw(MsgKind::Caching))
-        sendRmwControl(dst, MsgKind::Membership, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Membership, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendRegular(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w, bool gated)
+ViaComm::post(int dst, WireMsg &&w, std::uint64_t bytes)
 {
     if (!peerReachable(dst)) {
         countDroppedSend();
         return;
     }
     Peer &peer = *_peers.at(dst);
-    if (w.piggyLoad >= 0)
-        logical_bytes += 4;
-    recordSend(kind, logical_bytes);
+    switch (_pathOf[w.body.index()]) {
+      case Path::Regular:
+        return postRegular(peer, std::move(w), bytes);
+      case Path::RmwRing:
+        return postRing(peer, std::move(w), bytes);
+      case Path::RmwWord:
+        return postWord(peer, std::move(w), bytes);
+      case Path::RmwFile:
+        return postFile(peer, std::move(w));
+    }
+}
+
+void
+ViaComm::postRegular(Peer &peer, WireMsg &&w, std::uint64_t logical_bytes)
+{
+    logical_bytes += piggyWord(w);
+    recordSend(w.kind, logical_bytes);
+    // Credits travel outside the window they replenish.
+    bool gated = w.kind != MsgKind::Flow;
 
     sim::Tick cpu_cost = _cal.via.regularSend + copyCost(logical_bytes);
     auto thunk = [this, &peer, logical_bytes, cpu_cost,
@@ -521,33 +404,27 @@ ViaComm::sendRegular(int dst, MsgKind kind, std::uint64_t logical_bytes,
                     });
     };
     if (gated)
-        peer.regularGate.acquire(std::move(thunk));
+        peer.gate(FlowChannel::Regular).acquire(std::move(thunk));
     else
         thunk();
 }
 
 void
-ViaComm::sendRmwControl(int dst, MsgKind kind,
-                        std::uint64_t logical_bytes, WireMsg w)
+ViaComm::postRing(Peer &peer, WireMsg &&w, std::uint64_t logical_bytes)
 {
-    if (!peerReachable(dst)) {
-        countDroppedSend();
-        return;
-    }
-    Peer &peer = *_peers.at(dst);
-    if (w.piggyLoad >= 0)
-        logical_bytes += 4;
-    recordSend(kind, logical_bytes);
+    logical_bytes += piggyWord(w);
+    PRESS_ASSERT(logical_bytes <= SlotBytes, msgKindName(w.kind), " of ",
+                 logical_bytes, " B overflows a ", SlotBytes,
+                 " B ring slot");
+    recordSend(w.kind, logical_bytes);
 
-    CreditGate &gate =
-        kind == MsgKind::Forward ? peer.forwardGate : peer.cachingGate;
-    std::uint64_t &seq =
-        kind == MsgKind::Forward ? peer.forwardSeq : peer.cachingSeq;
-    Address ring = kind == MsgKind::Forward ? peer.rForwardRing
-                                            : peer.rCachingRing;
-    Address slot = ring + (seq++ % _config.controlWindow) * SlotBytes;
+    bool forward = w.kind == MsgKind::Forward;
+    FlowChannel channel = forward ? FlowChannel::Forward : FlowChannel::Caching;
+    Address ring = forward ? peer.rForwardRing : peer.rCachingRing;
+    Address slot =
+        ring + (peer.seq(channel)++ % _config.controlWindow) * SlotBytes;
 
-    gate.acquire([this, &peer, slot, logical_bytes,
+    peer.gate(channel).acquire([this, &peer, slot, logical_bytes,
                   payload = net::makePayload<WireMsg>(std::move(w))]() {
         _cpu.submit(_cal.via.rmwSend + copyCost(logical_bytes),
                     CatIntraComm, [this, &peer, slot, logical_bytes,
@@ -567,25 +444,26 @@ ViaComm::sendRmwControl(int dst, MsgKind kind,
 }
 
 void
-ViaComm::sendRmwWord(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w)
+ViaComm::postWord(Peer &peer, WireMsg &&w, std::uint64_t logical_bytes)
 {
-    if (!peerReachable(dst)) {
-        countDroppedSend();
-        return;
-    }
-    Peer &peer = *_peers.at(dst);
-    recordSend(kind, logical_bytes);
-
+    // A bare word carries no piggy-back. Credit words are charged
+    // Table 4's flowRmw; the load word keeps the load message size.
+    w.piggyLoad = -1;
     Address target;
-    if (kind == MsgKind::Load) {
-        target = peer.rLoadWord;
+    if (const auto *flow = std::get_if<FlowMsg>(&w.body)) {
+        logical_bytes = _cal.sizes.flowRmw;
+        target = peer.rFlowWords + static_cast<int>(flow->channel) * 8;
     } else {
-        const auto *flow = std::get_if<FlowMsg>(&w.body);
-        PRESS_ASSERT(flow, "sendRmwWord without FlowMsg body");
-        target = peer.rFlowWords +
-                 static_cast<int>(flow->channel) * 8;
+        // Dissemination rumors are full messages (origin/seq/hops),
+        // never the single overwritable word — rumors about different
+        // origins must not clobber each other.
+        const auto *load = std::get_if<LoadMsg>(&w.body);
+        PRESS_ASSERT(load && load->origin < 0,
+                     "only flow credits and load broadcasts fit the "
+                     "RMW word");
+        target = peer.rLoadWord;
     }
+    recordSend(w.kind, logical_bytes);
 
     // Overwritable word: no flow control, tiny post cost.
     _cpu.submit(_cal.via.rmwSendWord, CatIntraComm,
@@ -603,34 +481,30 @@ ViaComm::sendRmwWord(int dst, MsgKind kind, std::uint64_t logical_bytes,
 }
 
 void
-ViaComm::sendRmwFile(int dst, std::uint64_t file_bytes, WireMsg w)
+ViaComm::postFile(Peer &peer, WireMsg &&w)
 {
-    if (!peerReachable(dst)) {
-        countDroppedSend();
-        return;
-    }
-    Peer &peer = *_peers.at(dst);
     bool zero_copy_tx = _config.version == Version::V5;
 
-    std::uint64_t meta_bytes = _cal.sizes.fileMeta;
-    if (w.piggyLoad >= 0)
-        meta_bytes += 4;
+    // The data goes into the large ring as is; the metadata message
+    // (not the regular path's file header) carries the piggy-back.
+    std::uint64_t file_bytes = std::get<FileMsg>(w.body).bytes;
+    std::uint64_t meta_bytes = _cal.sizes.fileMeta + piggyWord(w);
     // Two messages per file (data + metadata): both counted as File
     // traffic, which is what doubles the message count in Table 4.
     recordSend(MsgKind::File, file_bytes);
     recordSend(MsgKind::File, meta_bytes);
 
-    std::uint64_t slot = peer.fileSeq++ % _config.fileWindow;
+    std::uint64_t slot = peer.seq(FlowChannel::File)++ % _config.fileWindow;
     Address data_addr = peer.rFileDataRing + slot * _maxTransfer;
     Address meta_addr = peer.rFileMetaRing + slot * SlotBytes;
 
     sim::Tick cpu_cost = 2 * _cal.via.rmwSend +
                          (zero_copy_tx ? 0 : copyCost(file_bytes));
 
-    peer.fileGate.acquire([this, &peer, data_addr, meta_addr, file_bytes,
-                           meta_bytes, cpu_cost,
-                           payload =
-                               net::makePayload<WireMsg>(std::move(w))]() {
+    peer.gate(FlowChannel::File).acquire([this, &peer, data_addr, meta_addr,
+                                          file_bytes, meta_bytes, cpu_cost,
+                                          payload = net::makePayload<WireMsg>(
+                                              std::move(w))]() {
         _cpu.submit(cpu_cost, CatIntraComm,
                     [this, &peer, data_addr, meta_addr, file_bytes,
                      meta_bytes, payload]() {
@@ -742,7 +616,7 @@ ViaComm::processRegular(via::DescriptorPtr desc,
         deliver(toIncoming(*wm, payload));
         // Gated kinds consumed a descriptor credit; batch it back.
         if (kind != MsgKind::Flow)
-            peer.regularReturn->consumed();
+            peer.returner(FlowChannel::Regular).consumed();
     });
 }
 
@@ -759,10 +633,10 @@ ViaComm::consumeRmwControl(int from, const net::Payload &payload)
                         _tracer, _traceNode, obs::Ev::CommRmwWrite, 0,
                         obs::packKindBytes(static_cast<int>(w->kind), 0));
                     deliver(toIncoming(*w, payload));
-                    if (w->kind == MsgKind::Forward)
-                        peer.forwardReturn->consumed();
-                    else
-                        peer.cachingReturn->consumed();
+                    peer.returner(w->kind == MsgKind::Forward
+                                      ? FlowChannel::Forward
+                                      : FlowChannel::Caching)
+                        .consumed();
                 });
 }
 
@@ -788,7 +662,7 @@ ViaComm::consumeRmwFile(int from, const net::Payload &payload)
                     deliver(toIncoming(*wm, payload));
                     if (!zero_copy_rx) {
                         // V3: the copy freed the ring slot already.
-                        peer.fileReturn->consumed();
+                        peer.returner(FlowChannel::File).consumed();
                     }
                     // V4/V5: the slot stays busy until fileBufferDone().
                 });
@@ -799,24 +673,13 @@ ViaComm::fileBufferDone(int from)
 {
     if (static_cast<int>(_config.version) < 4)
         return; // slot was released when the receive copy finished
-    _peers.at(from)->fileReturn->consumed();
+    _peers.at(from)->returner(FlowChannel::File).consumed();
 }
 
 void
 ViaComm::returnCredits(int dst, int n, FlowChannel channel)
 {
-    WireMsg w;
-    w.kind = MsgKind::Flow;
-    w.from = _node;
-    w.body = FlowMsg{n, channel};
-    if (usesRmw(MsgKind::Flow)) {
-        w.piggyLoad = -1; // a bare word carries no piggy-back
-        sendRmwWord(dst, MsgKind::Flow, _cal.sizes.flowRmw, std::move(w));
-    } else {
-        w.piggyLoad = piggyLoad();
-        sendRegular(dst, MsgKind::Flow, _cal.sizes.flowRegular,
-                    std::move(w), /*gated=*/false);
-    }
+    send(dst, FlowMsg{n, channel});
 }
 
 void
@@ -827,22 +690,9 @@ ViaComm::creditArrived(int from, const FlowMsg &flow)
         _tracer, _traceNode, obs::Ev::CommCredit, 0,
         obs::packKindBytes(static_cast<int>(flow.channel),
                            static_cast<std::uint64_t>(flow.credits)));
-    switch (flow.channel) {
-      case FlowChannel::Regular:
-        peer.regularGate.release(flow.credits);
-        break;
-      case FlowChannel::Forward:
-        peer.forwardGate.release(flow.credits);
-        break;
-      case FlowChannel::Caching:
-        peer.cachingGate.release(flow.credits);
-        break;
-      case FlowChannel::File:
-        peer.fileGate.release(flow.credits);
-        break;
-      default:
-        util::panic("bad flow channel");
-    }
+    PRESS_ASSERT(flow.channel < FlowChannel::NumChannels,
+                 "bad flow channel");
+    peer.gate(flow.channel).release(flow.credits);
 }
 
 void
@@ -868,17 +718,11 @@ ViaComm::drainSendCq()
 void
 ViaComm::resetPeerFlow(Peer &peer)
 {
-    peer.regularGate.reset();
-    peer.forwardGate.reset();
-    peer.cachingGate.reset();
-    peer.fileGate.reset();
-    peer.regularReturn->reset();
-    peer.forwardReturn->reset();
-    peer.cachingReturn->reset();
-    peer.fileReturn->reset();
-    peer.forwardSeq = 0;
-    peer.cachingSeq = 0;
-    peer.fileSeq = 0;
+    for (CreditGate &gate : peer.gates)
+        gate.reset();
+    for (auto &r : peer.returns)
+        r->reset();
+    peer.seqs.fill(0);
 }
 
 void

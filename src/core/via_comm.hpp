@@ -12,6 +12,11 @@
  *   Caching   reg   reg   rmw   rmw   rmw         rmw
  *   File      reg   reg   reg   rmw   rmw+0cp RX  rmw+0cp TX and RX
  *
+ * The table lives in _pathOf, one path per Body type. Traffic the paper
+ * does not have follows three rules. Membership rides the caching row.
+ * Gossip digests are variable-size, so they stay regular. The receive
+ * thread is armed whenever a body this configuration sends is regular.
+ *
  * Mechanisms, mirroring Section 3.4:
  *  - Regular messages flow through connected VIs with pre-posted receive
  *    descriptors; a receive thread blocks on a completion queue, wakes on
@@ -35,6 +40,7 @@
 #ifndef PRESS_CORE_VIA_COMM_HPP
 #define PRESS_CORE_VIA_COMM_HPP
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -81,13 +87,6 @@ class ViaComm : public ClusterComm
     /** Also instruments the credit gates' stall paths. */
     void setTracer(obs::Tracer *tracer, int node) override;
 
-    void sendLoad(int dst, const LoadMsg &msg) override;
-    void sendForward(int dst, const ForwardMsg &msg) override;
-    void sendCaching(int dst, const CachingMsg &msg) override;
-    void sendLoadDigest(int dst, const LoadDigestMsg &msg) override;
-    void sendCachingDigest(int dst, const CachingDigestMsg &msg) override;
-    void sendFile(int dst, const FileMsg &msg) override;
-    void sendMembership(int dst, const MembershipMsg &msg) override;
     void fileBufferDone(int from) override;
 
     // Fault transitions (see ClusterComm): VI teardown/revival plus
@@ -119,27 +118,34 @@ class ViaComm : public ClusterComm
     /** The attached invariant checker (null when checking is off). */
     const check::ViaChecker *checker() const { return _checker; }
 
+  protected:
+    /** Carries @p w along the path Table 3 assigns its body type. */
+    void post(int dst, WireMsg &&w, std::uint64_t bytes) override;
+
   private:
     struct Peer;
 
-    /** True when @p kind travels as a remote memory write under the
-     *  configured version. */
-    bool usesRmw(MsgKind kind) const;
+    /** The four ways a message can travel (Table 3's cells). */
+    enum class Path : std::uint8_t {
+        Regular, ///< two-sided send into a pre-posted receive descriptor
+        RmwWord, ///< one overwritable remote word (credits, RMW load)
+        RmwRing, ///< remote write into a forward/caching ring slot
+        RmwFile, ///< data + metadata writes into the file rings
+    };
 
-    /** Send a regular two-sided message (optionally flow-controlled). */
-    void sendRegular(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w, bool gated);
+    /** A regular two-sided message; every kind but Flow takes a
+     *  descriptor credit. */
+    void postRegular(Peer &peer, WireMsg &&w, std::uint64_t bytes);
 
-    /** Write a control message into the peer's ring for @p kind. */
-    void sendRmwControl(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                        WireMsg w);
+    /** A control message written into the peer's forward ring
+     *  (Forward) or caching ring (Caching, Membership). */
+    void postRing(Peer &peer, WireMsg &&w, std::uint64_t bytes);
 
-    /** Write a single overwritable word (flow credits / load). */
-    void sendRmwWord(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w);
+    /** A single overwritable word (flow credits / load). */
+    void postWord(Peer &peer, WireMsg &&w, std::uint64_t bytes);
 
     /** The two-message RMW file transfer. */
-    void sendRmwFile(int dst, std::uint64_t logical_bytes, WireMsg w);
+    void postFile(Peer &peer, WireMsg &&w);
 
     /** Receive-thread drain loop for regular messages. */
     void armRecvThread();
@@ -169,7 +175,6 @@ class ViaComm : public ClusterComm
     sim::Tick copyCost(std::uint64_t bytes) const;
 
     sim::Simulator &_sim;
-    int _node;
     PressConfig _config;
     const Calibration &_cal;
     sim::FifoResource &_cpu;
@@ -179,6 +184,9 @@ class ViaComm : public ClusterComm
     std::unique_ptr<via::CompletionQueue> _recvCq;
     std::unique_ptr<via::CompletionQueue> _sendCq;
     std::vector<std::unique_ptr<Peer>> _peers; ///< indexed by node id
+    /** Path per Body alternative (BodyIndex), fixed at construction
+     *  from the version and the dissemination config. */
+    std::array<Path, std::variant_size_v<Body>> _pathOf;
     bool _recvThreadNeeded = false;
     std::uint64_t _maxTransfer;
 };

@@ -11,7 +11,7 @@
  * hot-path closures small.
  *
  * The capacity default (64 bytes) is sized to the largest closure on
- * the simulation hot path (ViaComm::sendRmwFile captures seven words
+ * the simulation hot path (ViaComm::postFile captures seven words
  * plus a Payload handle). Layers that store bigger thunks off the
  * event path (e.g. core::CreditGate) instantiate a wider InlineFn.
  */

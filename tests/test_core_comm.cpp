@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/tcp_comm.hpp"
@@ -90,7 +92,7 @@ struct Rig {
 TEST(TcpCommTest, ForwardDelivered)
 {
     Rig rig(2, Protocol::TcpClan, Version::V0);
-    rig.comms[0]->sendForward(1, ForwardMsg{77, 5});
+    rig.comms[0]->send(1, ForwardMsg{77, 5});
     rig.sim.run();
     ASSERT_EQ(rig.received[1].size(), 1u);
     const auto &in = rig.received[1][0];
@@ -106,9 +108,9 @@ TEST(TcpCommTest, StatsMatchTableSemantics)
 {
     Rig rig(2, Protocol::TcpClan, Version::V0);
     rig.comms[0]->setLoadProvider([] { return 3; });
-    rig.comms[0]->sendForward(1, ForwardMsg{1, 1});
-    rig.comms[0]->sendCaching(1, CachingMsg{1, true});
-    rig.comms[0]->sendFile(1, FileMsg{1, 1, 10000});
+    rig.comms[0]->send(1, ForwardMsg{1, 1});
+    rig.comms[0]->send(1, CachingMsg{1, true});
+    rig.comms[0]->send(1, FileMsg{1, 1, 10000});
     rig.sim.run();
     const auto &tx = rig.comms[0]->txStats();
     EXPECT_EQ(tx.of(MsgKind::Forward).msgs, 1u);
@@ -127,7 +129,7 @@ TEST(TcpCommTest, PiggyLoadReachesReceiver)
     Rig rig(2, Protocol::TcpClan, Version::V0);
     int load = 17;
     rig.comms[0]->setLoadProvider([&] { return load; });
-    rig.comms[0]->sendForward(1, ForwardMsg{1, 1});
+    rig.comms[0]->send(1, ForwardMsg{1, 1});
     rig.sim.run();
     ASSERT_EQ(rig.received[1].size(), 1u);
     EXPECT_EQ(rig.received[1][0].piggyLoad, 17);
@@ -136,7 +138,7 @@ TEST(TcpCommTest, PiggyLoadReachesReceiver)
 TEST(TcpCommTest, ChargesIntraCommCpu)
 {
     Rig rig(2, Protocol::TcpClan, Version::V0);
-    rig.comms[0]->sendFile(1, FileMsg{1, 1, 20000});
+    rig.comms[0]->send(1, FileMsg{1, 1, 20000});
     rig.sim.run();
     EXPECT_GT(rig.nodes[0]->cpu().busyTime(osnode::CatIntraComm), 0);
     EXPECT_GT(rig.nodes[1]->cpu().busyTime(osnode::CatIntraComm), 0);
@@ -154,10 +156,10 @@ class ViaCommVersions : public ::testing::TestWithParam<Version>
 TEST_P(ViaCommVersions, AllKindsDelivered)
 {
     Rig rig(3, Protocol::ViaClan, GetParam());
-    rig.comms[0]->sendForward(1, ForwardMsg{7, 1});
-    rig.comms[0]->sendCaching(1, CachingMsg{8, true});
-    rig.comms[0]->sendCaching(2, CachingMsg{8, true});
-    rig.comms[1]->sendFile(0, FileMsg{7, 1, 30000});
+    rig.comms[0]->send(1, ForwardMsg{7, 1});
+    rig.comms[0]->send(1, CachingMsg{8, true});
+    rig.comms[0]->send(2, CachingMsg{8, true});
+    rig.comms[1]->send(0, FileMsg{7, 1, 30000});
     rig.sim.run();
     EXPECT_EQ(rig.countKind(1, MsgKind::Forward), 1);
     EXPECT_EQ(rig.countKind(1, MsgKind::Caching), 1);
@@ -178,7 +180,7 @@ TEST_P(ViaCommVersions, FileMessageCountMatchesTable4)
 {
     Version v = GetParam();
     Rig rig(2, Protocol::ViaClan, v);
-    rig.comms[0]->sendFile(1, FileMsg{1, 1, 10000});
+    rig.comms[0]->send(1, FileMsg{1, 1, 10000});
     rig.sim.run();
     const auto &tx = rig.comms[0]->txStats();
     bool rmw_file = static_cast<int>(v) >= 3;
@@ -195,7 +197,7 @@ TEST_P(ViaCommVersions, ManyFilesRespectFlowControlWindow)
     Rig rig(2, Protocol::ViaClan, v);
     const int files = 50;
     for (int i = 0; i < files; ++i)
-        rig.comms[0]->sendFile(1, FileMsg{static_cast<std::uint32_t>(i),
+        rig.comms[0]->send(1, FileMsg{static_cast<std::uint32_t>(i),
                                           static_cast<std::uint32_t>(i),
                                           5000});
     // Consume buffers as they arrive (V4/V5 hold slots until done).
@@ -216,7 +218,7 @@ TEST_P(ViaCommVersions, DeliveryOrderPreservedPerPair)
 {
     Rig rig(2, Protocol::ViaClan, GetParam());
     for (std::uint32_t i = 0; i < 20; ++i)
-        rig.comms[0]->sendForward(1, ForwardMsg{i, i});
+        rig.comms[0]->send(1, ForwardMsg{i, i});
     rig.sim.run();
     std::uint32_t expect = 0;
     for (const auto &in : rig.received[1]) {
@@ -262,7 +264,7 @@ TEST(ViaCommTest, LoadBroadcastRegularVsRmw)
 {
     Rig reg(2, Protocol::ViaClan, Version::V0,
             Dissemination::broadcast(1, false));
-    reg.comms[0]->sendLoad(1, LoadMsg{9});
+    reg.comms[0]->send(1, LoadMsg{9});
     reg.sim.run();
     ASSERT_EQ(reg.countKind(1, MsgKind::Load), 1);
     const auto *lm = bodyAs<LoadMsg>(reg.received[1][0]);
@@ -271,7 +273,7 @@ TEST(ViaCommTest, LoadBroadcastRegularVsRmw)
 
     Rig rmw(2, Protocol::ViaClan, Version::V0,
             Dissemination::broadcast(1, true));
-    rmw.comms[0]->sendLoad(1, LoadMsg{9});
+    rmw.comms[0]->send(1, LoadMsg{9});
     rmw.sim.run();
     EXPECT_EQ(rmw.countKind(1, MsgKind::Load), 1);
     // The RMW load write is cheaper on the receiving CPU.
@@ -283,8 +285,8 @@ TEST(ViaCommTest, RmwControlCheaperThanRegularOnReceiver)
 {
     Rig v0(2, Protocol::ViaClan, Version::V0);
     Rig v2(2, Protocol::ViaClan, Version::V2);
-    v0.comms[0]->sendForward(1, ForwardMsg{1, 1});
-    v2.comms[0]->sendForward(1, ForwardMsg{1, 1});
+    v0.comms[0]->send(1, ForwardMsg{1, 1});
+    v2.comms[0]->send(1, ForwardMsg{1, 1});
     v0.sim.run();
     v2.sim.run();
     EXPECT_LT(v2.nodes[1]->cpu().busyTime(),
@@ -295,8 +297,8 @@ TEST(ViaCommTest, ZeroCopySendCheaperOnSender)
 {
     Rig v4(2, Protocol::ViaClan, Version::V4);
     Rig v5(2, Protocol::ViaClan, Version::V5);
-    v4.comms[0]->sendFile(1, FileMsg{1, 1, 100000});
-    v5.comms[0]->sendFile(1, FileMsg{1, 1, 100000});
+    v4.comms[0]->send(1, FileMsg{1, 1, 100000});
+    v5.comms[0]->send(1, FileMsg{1, 1, 100000});
     v4.sim.run();
     v5.sim.run();
     EXPECT_LT(v5.nodes[0]->cpu().busyTime(),
@@ -307,11 +309,106 @@ TEST(ViaCommTest, ZeroCopyRecvCheaperOnReceiver)
 {
     Rig v3(2, Protocol::ViaClan, Version::V3);
     Rig v4(2, Protocol::ViaClan, Version::V4);
-    v3.comms[0]->sendFile(1, FileMsg{1, 1, 100000});
-    v4.comms[0]->sendFile(1, FileMsg{1, 1, 100000});
+    v3.comms[0]->send(1, FileMsg{1, 1, 100000});
+    v4.comms[0]->send(1, FileMsg{1, 1, 100000});
     v3.sim.run();
     v4.sim.run();
     EXPECT_LT(v4.nodes[1]->cpu().busyTime(),
               v3.nodes[1]->cpu().busyTime());
     v4.comms[1]->fileBufferDone(0);
+}
+
+// ---------------------------------------------------------------------
+// One send path: per-body accounting across backends and VIA paths
+// ---------------------------------------------------------------------
+
+TEST(CommSendPath, EveryBodyChargesItsKindBytesAndMessages)
+{
+    struct Backend {
+        const char *name;
+        Protocol proto;
+        Version version;
+    };
+    const Backend backends[] = {
+        {"TCP", Protocol::TcpClan, Version::V0},
+        {"V0", Protocol::ViaClan, Version::V0},
+        {"V2", Protocol::ViaClan, Version::V2},
+        {"V5", Protocol::ViaClan, Version::V5},
+    };
+    // Expected Tables-2/4 row of one send: messages, bytes without the
+    // piggy-back word, and whether the path charges that word. Sizes:
+    // load 16, flow 13 (regular) or 4 (credit word), forward 53,
+    // caching 59, file header 32, RMW file metadata 61, rumor header 9.
+    struct Tx {
+        std::uint64_t msgs;
+        std::uint64_t bytes;
+        bool piggy;
+    };
+    const LoadMsg loadRumor{9, 2, 1, 0};
+    const CachingMsg cachingRumor{5, true, 2, 1, 0};
+    auto same = [](std::uint64_t bytes) {
+        return std::array<Tx, 4>{Tx{1, bytes, true}, Tx{1, bytes, true},
+                                 Tx{1, bytes, true}, Tx{1, bytes, true}};
+    };
+    struct Row {
+        const char *name;
+        Body body;
+        Dissemination diss;   ///< a configuration that sends this body
+        std::array<Tx, 4> tx; ///< per backend, in the order above
+    };
+    const Row rows[] = {
+        {"load", LoadMsg{9}, Dissemination::broadcast(1, false), same(16)},
+        {"load-word", LoadMsg{9}, Dissemination::broadcast(1, true),
+         {Tx{1, 16, true}, Tx{1, 16, false}, Tx{1, 16, false},
+          Tx{1, 16, false}}},
+        {"load-rumor", loadRumor, Dissemination::tree(4), same(16 + 9)},
+        {"flow", FlowMsg{0, FlowChannel::Regular},
+         Dissemination::piggyBack(),
+         {Tx{1, 13, true}, Tx{1, 13, true}, Tx{1, 4, false},
+          Tx{1, 4, false}}},
+        {"forward", ForwardMsg{7, 1}, Dissemination::piggyBack(), same(53)},
+        {"caching", CachingMsg{5, true}, Dissemination::piggyBack(),
+         same(59)},
+        {"caching-rumor", cachingRumor, Dissemination::tree(4),
+         same(59 + 9)},
+        {"file", FileMsg{7, 1, 10000}, Dissemination::piggyBack(),
+         {Tx{1, 10000 + 32, true}, Tx{1, 10000 + 32, true},
+          Tx{1, 10000 + 32, true}, Tx{2, 10000 + 61, true}}},
+        {"load-digest", LoadDigestMsg{{loadRumor, loadRumor}},
+         Dissemination::gossip(4), same(2 * (16 + 9))},
+        // 2 x 68 B overflows a 128 B ring slot: digests always take
+        // the regular path, whatever the version.
+        {"caching-digest", CachingDigestMsg{{cachingRumor, cachingRumor}},
+         Dissemination::gossip(4), same(2 * (59 + 9))},
+        {"membership", MembershipMsg{3, 2, 1, 0, 0},
+         Dissemination::piggyBack(), same(59 + 9)},
+    };
+
+    for (std::size_t b = 0; b < std::size(backends); ++b) {
+        for (const Row &row : rows) {
+            for (bool piggy : {false, true}) {
+                const Backend &be = backends[b];
+                SCOPED_TRACE(std::string(be.name) + " " + row.name +
+                             (piggy ? " +piggy" : ""));
+                Rig rig(2, be.proto, be.version, row.diss);
+                if (piggy)
+                    rig.comms[0]->setLoadProvider([] { return 3; });
+                rig.comms[0]->send(1, row.body);
+                rig.sim.run();
+
+                MsgKind kind = kindOf(row.body);
+                const Tx &want = row.tx[b];
+                const auto &tx = rig.comms[0]->txStats();
+                EXPECT_EQ(tx.of(kind).msgs, want.msgs);
+                EXPECT_EQ(tx.of(kind).bytes,
+                          want.bytes + (piggy && want.piggy ? 4 : 0));
+                EXPECT_EQ(tx.total().msgs, want.msgs)
+                    << "no other kind may be charged";
+                if (kind != MsgKind::Flow) {
+                    EXPECT_EQ(rig.countKind(1, kind), 1)
+                        << "the body must arrive";
+                }
+            }
+        }
+    }
 }

@@ -9,7 +9,9 @@
 
 using press::core::CacheDirectory;
 using press::core::LoadDirectory;
+using press::core::leastLoadedIn;
 using press::core::NodeMask;
+using press::core::randomIn;
 using press::core::ShardedCacheDirectory;
 using press::util::Rng;
 
@@ -56,18 +58,18 @@ TEST(LoadDirectory, LeastLoadedBreaksTiesLow)
 TEST(CacheDirectory, UpdateAndQuery)
 {
     CacheDirectory d(8);
-    EXPECT_FALSE(d.anyoneCaches(42));
+    EXPECT_TRUE(d.mask(42).none());
     d.update(3, 42, true);
-    EXPECT_TRUE(d.anyoneCaches(42));
+    EXPECT_TRUE(d.mask(42).any());
     EXPECT_TRUE(d.caches(3, 42));
     EXPECT_FALSE(d.caches(2, 42));
     d.update(5, 42, true);
     EXPECT_EQ(d.mask(42).words(0), (1u << 3) | (1u << 5));
     d.update(3, 42, false);
     EXPECT_FALSE(d.caches(3, 42));
-    EXPECT_TRUE(d.anyoneCaches(42));
+    EXPECT_TRUE(d.mask(42).any());
     d.update(5, 42, false);
-    EXPECT_FALSE(d.anyoneCaches(42));
+    EXPECT_TRUE(d.mask(42).none());
     EXPECT_EQ(d.knownFiles(), 0u);
 }
 
@@ -75,7 +77,8 @@ TEST(CacheDirectory, EvictUnknownFileIsNoop)
 {
     CacheDirectory d(4);
     d.update(1, 7, false);
-    EXPECT_FALSE(d.anyoneCaches(7));
+    EXPECT_TRUE(d.mask(7).none());
+    EXPECT_EQ(d.knownFiles(), 0u);
 }
 
 TEST(CacheDirectory, LeastLoadedCaching)
@@ -86,10 +89,10 @@ TEST(CacheDirectory, LeastLoadedCaching)
     d.update(2, 9, true);
     loads.update(1, 50);
     loads.update(2, 20);
-    EXPECT_EQ(d.leastLoadedCaching(9, loads), 2);
+    EXPECT_EQ(leastLoadedIn(d.mask(9), loads, 4), 2);
     loads.update(2, 90);
-    EXPECT_EQ(d.leastLoadedCaching(9, loads), 1);
-    EXPECT_EQ(d.leastLoadedCaching(1234, loads), -1);
+    EXPECT_EQ(leastLoadedIn(d.mask(9), loads, 4), 1);
+    EXPECT_EQ(leastLoadedIn(d.mask(1234), loads, 4), -1);
 }
 
 TEST(CacheDirectory, RandomCachingCoversAllHolders)
@@ -101,9 +104,9 @@ TEST(CacheDirectory, RandomCachingCoversAllHolders)
     Rng rng(3);
     std::set<int> seen;
     for (int i = 0; i < 200; ++i)
-        seen.insert(d.randomCaching(5, rng));
+        seen.insert(randomIn(d.mask(5), rng, 8));
     EXPECT_EQ(seen, (std::set<int>{2, 4, 7}));
-    EXPECT_EQ(d.randomCaching(999, rng), -1);
+    EXPECT_EQ(randomIn(d.mask(999), rng, 8), -1);
 }
 
 TEST(CacheDirectory, RejectsOversizedClusters)

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "check/via_checker.hpp"
 #include "core/cluster.hpp"
 #include "core/dissemination.hpp"
 #include "obs/trace_io.hpp"
@@ -434,4 +435,45 @@ TEST(Dissemination, SequentialRunsAreReproducible)
     config.dissemination = core::Dissemination::gossip(3);
     config.directoryMode = core::DirectoryMode::Sharded;
     expectRerunIdentity(config, trace);
+}
+
+TEST(Dissemination, ViaRmwVersionsCarryGossipAndTreeTraffic)
+{
+    // From V2 on, forward/caching messages are ring writes, and from V3
+    // on nothing in the paper's own configurations is a regular send.
+    // Gossip digests and tree load rumors still are: the digests are
+    // variable-size (two caching rumors already overflow a ring slot),
+    // and the regular path needs the receive thread armed with
+    // pre-posted descriptors. Every request must be answered with the
+    // VIA checker aborting on the first violation.
+    auto trace = smallTrace();
+    struct Cell {
+        core::Version version;
+        core::Dissemination diss;
+    };
+    const Cell cells[] = {
+        {core::Version::V2, core::Dissemination::gossip(4)},
+        {core::Version::V3, core::Dissemination::tree(4)},
+        {core::Version::V5, core::Dissemination::gossip(4)},
+        {core::Version::V5, core::Dissemination::tree(4)},
+    };
+    for (const Cell &cell : cells) {
+        SCOPED_TRACE(std::string(core::versionName(cell.version)) + " " +
+                     cell.diss.label());
+        core::PressConfig config;
+        config.protocol = core::Protocol::ViaClan;
+        config.version = cell.version;
+        config.nodes = 4;
+        config.dissemination = cell.diss;
+        config.directoryMode = core::DirectoryMode::Replicated;
+        config.warmupFraction = 0.0;
+        config.viaCheck = core::ViaCheck::Abort;
+        core::PressCluster cluster(config, trace);
+        auto r = cluster.run(200);
+
+        EXPECT_EQ(r.requestsMeasured, 200u);
+        EXPECT_EQ(r.requestsLost, 0u);
+        ASSERT_NE(cluster.viaChecker(), nullptr);
+        EXPECT_TRUE(cluster.viaChecker()->clean());
+    }
 }

@@ -29,27 +29,6 @@ class FakeComm : public ClusterComm
     };
     std::vector<Sent> sent;
 
-    void
-    sendLoad(int dst, const LoadMsg &m) override
-    {
-        record(dst, MsgKind::Load, m);
-    }
-    void
-    sendForward(int dst, const ForwardMsg &m) override
-    {
-        record(dst, MsgKind::Forward, m);
-    }
-    void
-    sendCaching(int dst, const CachingMsg &m) override
-    {
-        record(dst, MsgKind::Caching, m);
-    }
-    void
-    sendFile(int dst, const FileMsg &m) override
-    {
-        record(dst, MsgKind::File, m);
-    }
-
     /** Inject a message as if it arrived from @p from. */
     template <typename T>
     void
@@ -73,16 +52,11 @@ class FakeComm : public ClusterComm
         return c;
     }
 
-  private:
-    template <typename T>
+  protected:
     void
-    record(int dst, MsgKind kind, T body)
+    post(int dst, WireMsg &&w, std::uint64_t) override
     {
-        WireMsg w;
-        w.kind = kind;
-        w.from = -1;
-        w.body = std::move(body);
-        sent.push_back(Sent{dst, kind, std::move(w)});
+        sent.push_back(Sent{dst, w.kind, std::move(w)});
     }
 };
 
@@ -312,4 +286,130 @@ TEST(ServerPolicy, LatencyAccountedPerReply)
     rig.sim.run();
     EXPECT_EQ(rig.server->stats().latency.count(), 1u);
     EXPECT_GT(rig.server->stats().latency.mean(), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Sharded directory routes (rules 3/4 via the shard owner)
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** ServerRig on a sharded directory, with enough files that node 0
+ *  owns some shards and not others. */
+struct ShardRig : ServerRig {
+    ShardRig()
+        : ServerRig(Dissemination::piggyBack(),
+                    std::vector<std::uint32_t>(64, 10000))
+    {
+        config.directoryMode = DirectoryMode::Sharded;
+        server = std::make_unique<PressServer>(sim, config, 0, *node,
+                                               files, comm, 99);
+    }
+
+    /** First file whose shard node 0 owns (@p owned) or does not. */
+    FileId
+    fileOwned(bool owned) const
+    {
+        FileId f = 0;
+        while (server->shardDirectory()->owns(f) != owned)
+            ++f;
+        return f;
+    }
+
+    /** Initial node 2 asks owner node 0 to route a request. */
+    void
+    lookup(FileId file, std::uint32_t tag)
+    {
+        comm.inject(MsgKind::Forward, 2,
+                    ForwardMsg{file, tag, 2, ForwardRoute::Lookup});
+        sim.run();
+    }
+
+    /** Body of the only message sent, if it went to @p dst as a T. */
+    template <typename T>
+    const T *
+    onlySentTo(int dst) const
+    {
+        if (comm.sent.size() != 1 || comm.sent[0].dst != dst)
+            return nullptr;
+        return std::get_if<T>(&comm.sent[0].msg.body);
+    }
+};
+
+} // namespace
+
+TEST(ServerPolicySharded, MissOutsideShardAsksOwner)
+{
+    ShardRig rig;
+    FileId f = rig.fileOwned(false);
+    rig.request(f);
+    rig.sim.run();
+    const auto *fwd = rig.onlySentTo<ForwardMsg>(
+        rig.server->shardDirectory()->ownerOf(f));
+    ASSERT_TRUE(fwd);
+    EXPECT_EQ(fwd->route, ForwardRoute::Lookup);
+    EXPECT_EQ(fwd->file, f);
+    EXPECT_EQ(fwd->origin, 0);
+    EXPECT_EQ(rig.server->stats().dirLookupsOut, 1u);
+    EXPECT_TRUE(rig.replies.empty());
+}
+
+TEST(ServerPolicySharded, OwnerWithEmptyMaskSendsHome)
+{
+    ShardRig rig;
+    rig.lookup(rig.fileOwned(true), 7);
+    const auto *fwd = rig.onlySentTo<ForwardMsg>(2);
+    ASSERT_TRUE(fwd);
+    EXPECT_EQ(fwd->route, ForwardRoute::Home);
+    EXPECT_EQ(fwd->tag, 7u);
+    EXPECT_EQ(fwd->origin, 2);
+    EXPECT_EQ(rig.server->stats().dirLookupsIn, 1u);
+}
+
+TEST(ServerPolicySharded, OwnerRoutesToCandidateOtherThanOrigin)
+{
+    ShardRig rig;
+    FileId f = rig.fileOwned(true);
+    // Nodes 1 and 2 cache the file; the initial node 2 is excluded
+    // (its rule 2 would have kept the request had it still cached it).
+    rig.comm.inject(MsgKind::Caching, 1, CachingMsg{f, true});
+    rig.comm.inject(MsgKind::Caching, 2, CachingMsg{f, true});
+    rig.lookup(f, 9);
+    const auto *fwd = rig.onlySentTo<ForwardMsg>(1);
+    ASSERT_TRUE(fwd);
+    EXPECT_EQ(fwd->route, ForwardRoute::Serve);
+    EXPECT_EQ(fwd->tag, 9u);
+    EXPECT_EQ(fwd->origin, 2);
+}
+
+TEST(ServerPolicySharded, OwnerSendsHomeWhenOnlyCandidateOverloaded)
+{
+    ShardRig rig;
+    FileId f = rig.fileOwned(true);
+    rig.comm.inject(MsgKind::Caching, 1, CachingMsg{f, true});
+    rig.comm.inject(MsgKind::Load, 1, LoadMsg{100}); // above T = 80
+    rig.lookup(f, 11);
+    const auto *fwd = rig.onlySentTo<ForwardMsg>(2);
+    ASSERT_TRUE(fwd);
+    EXPECT_EQ(fwd->route, ForwardRoute::Home);
+    EXPECT_EQ(fwd->tag, 11u);
+}
+
+TEST(ServerPolicySharded, OwnerThatIsCandidateSendsFileToOrigin)
+{
+    ShardRig rig;
+    FileId f = rig.fileOwned(true);
+    // First touch at the owner: served locally, cached, and recorded
+    // in its own authoritative shard.
+    rig.request(f);
+    rig.sim.run();
+    ASSERT_TRUE(rig.server->cache().contains(f));
+    rig.comm.sent.clear();
+
+    rig.lookup(f, 13);
+    const auto *fm = rig.onlySentTo<FileMsg>(2);
+    ASSERT_TRUE(fm);
+    EXPECT_EQ(fm->file, f);
+    EXPECT_EQ(fm->tag, 13u);
+    EXPECT_EQ(rig.server->stats().forwardedIn, 1u);
 }

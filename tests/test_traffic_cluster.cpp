@@ -94,10 +94,8 @@ trafficFingerprint(PressConfig config, const workload::Trace &trace,
 class NullComm : public ClusterComm
 {
   public:
-    void sendLoad(int, const LoadMsg &) override {}
-    void sendForward(int, const ForwardMsg &) override {}
-    void sendCaching(int, const CachingMsg &) override {}
-    void sendFile(int, const FileMsg &) override {}
+  protected:
+    void post(int, WireMsg &&, std::uint64_t) override {}
 };
 
 } // namespace
