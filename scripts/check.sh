@@ -18,8 +18,10 @@
 #   (f) scale: the scalable dissemination paths — a 64-node gossip +
 #       tree smoke with the VIA checker live plus the sharded-vs-
 #       replicated directory oracle (examples/scale_smoke), VIA V5 x
-#       gossip/tree cluster runs with the checker aborting, and a K=4
-#       tick-race hunt focused on the gossip scenario
+#       gossip/tree cluster runs with the checker aborting, a K=4
+#       tick-race hunt focused on the gossip scenario, and the
+#       benchmark's out-of-tree build, self-tests and a checked
+#       256-node run (perfbench/)
 #   (g) fault: the fault-tolerance subsystem — a churn bench smoke
 #       (kill 2 of 16 mid-trace; zero lost requests is the exit
 #       code) and a crash-scenario byte-identity diff across --jobs
@@ -155,6 +157,18 @@ stage_scale() {
     # seeded equal-tick permutations against the FIFO baseline.
     ./build/tools/press_races --seeds 4 --requests 8000 --filter G4 \
         --table build/lookahead-scale.txt
+    # The benchmark builds src/ on its own, out of tree: its self-tests
+    # and one 256-node trace run keep a src/ change from breaking the
+    # benchmark build, its correctness gate, or the registration the
+    # path table prunes (--trace 1 runs the VIA checker in Abort mode;
+    # the gate is the exit code).
+    cmake -S perfbench -B .bench_build/perfbench -G Ninja \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    cmake --build .bench_build/perfbench -j "$(nproc)" \
+        --target perfbench_selftest press_perfbench
+    ./.bench_build/perfbench/perfbench_selftest
+    python3 perfbench/run.py --workload scale256_g4 --seed 1 --seconds 1 \
+        --trace 1
 }
 
 stage_fault() {

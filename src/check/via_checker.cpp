@@ -1,5 +1,6 @@
 #include "via_checker.hpp"
 
+#include <cstdint>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -306,16 +307,18 @@ ViaChecker::flagBadRange(const MemoryRegistry &registry, via::Address addr,
     v.op = op;
     v.node = state.node;
     v.lo = addr;
-    v.hi = addr + length;
+    // Saturate: a huge length must not wrap the end below the start.
+    v.hi = length > UINT64_MAX - addr ? UINT64_MAX : addr + length;
 
     // Range start inside a live region: the access runs off its end.
+    // Counted from addr, which lies inside the region, so it cannot wrap.
     if (auto live = registry.find(addr, 1)) {
         v.kind = rmw ? Violation::Kind::RmwOutOfBounds
                      : Violation::Kind::UnregisteredDma;
         v.handle = live->handle;
         v.detail = "range runs " +
-                   std::to_string(addr + length -
-                                  (live->base + live->size)) +
+                   std::to_string(length -
+                                  (live->base + live->size - addr)) +
                    " byte(s) past the end of the region";
         record(std::move(v));
         return;

@@ -170,54 +170,65 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         }
 
         // Receive-side regions, with write hooks feeding the poll paths.
-        p->forwardRing = _nic->registerMemory(
-            _config.controlWindow * SlotBytes,
-            [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
-                consumeRmwControl(from, pl);
-            });
-        p->cachingRing = _nic->registerMemory(
-            _config.controlWindow * SlotBytes,
-            [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
-                consumeRmwControl(from, pl);
-            });
-        p->fileMetaRing = _nic->registerMemory(
-            _config.fileWindow * SlotBytes,
-            [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
-                consumeRmwFile(from, pl);
-            });
-        // File data lands silently; the metadata write triggers
-        // consumption (it is posted after the data on the same VI, so
-        // VIA's in-order delivery guarantees the data is already there).
-        p->fileDataRing = _nic->registerMemory(
-            std::max<std::uint64_t>(_config.fileWindow * _maxTransfer, 1));
-        p->flowWords = _nic->registerMemory(
-            static_cast<int>(FlowChannel::NumChannels) * 8,
-            [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
-                const auto *w = net::payloadAs<WireMsg>(pl);
-                PRESS_ASSERT(w, "bad flow-word payload");
-                const auto *flow = std::get_if<FlowMsg>(&w->body);
-                PRESS_ASSERT(flow, "flow word without FlowMsg");
-                creditArrived(from, *flow);
-            });
-        p->loadWord = _nic->registerMemory(
-            8, [this, from](std::uint64_t, std::uint64_t,
-                            const via::Payload &pl, std::uint32_t) {
-                // The main thread notices the overwritten word on its
-                // next poll; only the probe costs CPU.
-                _cpu.submit(_cal.via.pollProbe, CatIntraComm,
-                            [this, pl]() {
-                                const auto *w =
-                                    net::payloadAs<WireMsg>(pl);
-                                PRESS_ASSERT(w, "bad load-word payload");
-                                deliver(toIncoming(*w, pl));
-                            });
-            });
-        p->recvBufs = _nic->registerMemory(
-            (_config.controlWindow + FlowReserve) * (_maxTransfer + 64));
+        // Every node shares this path table, so a region is registered
+        // only when some peer's send can target it; a write anywhere
+        // else fails loudly (rdmaBadAddress, broken VI).
+        auto control = [this, from](std::uint64_t, std::uint64_t,
+                                    const via::Payload &pl, std::uint32_t) {
+            consumeRmwControl(from, pl);
+        };
+        if (onPath<ForwardMsg>(Path::RmwRing))
+            p->forwardRing = _nic->registerMemory(
+                _config.controlWindow * SlotBytes, control);
+        if (onPath<CachingMsg>(Path::RmwRing) ||
+            onPath<MembershipMsg>(Path::RmwRing))
+            p->cachingRing = _nic->registerMemory(
+                _config.controlWindow * SlotBytes, control);
+        if (onPath<FileMsg>(Path::RmwFile)) {
+            p->fileMetaRing = _nic->registerMemory(
+                _config.fileWindow * SlotBytes,
+                [this, from](std::uint64_t, std::uint64_t,
+                             const via::Payload &pl, std::uint32_t) {
+                    consumeRmwFile(from, pl);
+                });
+            // File data lands silently; the metadata write triggers
+            // consumption (it is posted after the data on the same VI,
+            // so VIA's in-order delivery guarantees the data is already
+            // there).
+            p->fileDataRing = _nic->registerMemory(
+                std::max<std::uint64_t>(_config.fileWindow * _maxTransfer,
+                                        1));
+        }
+        if (onPath<FlowMsg>(Path::RmwWord))
+            p->flowWords = _nic->registerMemory(
+                static_cast<int>(FlowChannel::NumChannels) * 8,
+                [this, from](std::uint64_t, std::uint64_t,
+                             const via::Payload &pl, std::uint32_t) {
+                    const auto *w = net::payloadAs<WireMsg>(pl);
+                    PRESS_ASSERT(w, "bad flow-word payload");
+                    const auto *flow = std::get_if<FlowMsg>(&w->body);
+                    PRESS_ASSERT(flow, "flow word without FlowMsg");
+                    creditArrived(from, *flow);
+                });
+        if (onPath<LoadMsg>(Path::RmwWord))
+            p->loadWord = _nic->registerMemory(
+                8, [this, from](std::uint64_t, std::uint64_t,
+                                const via::Payload &pl, std::uint32_t) {
+                    // The main thread notices the overwritten word on its
+                    // next poll; only the probe costs CPU.
+                    _cpu.submit(_cal.via.pollProbe, CatIntraComm,
+                                [this, pl]() {
+                                    const auto *w =
+                                        net::payloadAs<WireMsg>(pl);
+                                    PRESS_ASSERT(w,
+                                                 "bad load-word payload");
+                                    deliver(toIncoming(*w, pl));
+                                });
+                });
+        if (_recvThreadNeeded)
+            p->recvBufs = _nic->registerMemory(
+                (_config.controlWindow + FlowReserve) *
+                (_maxTransfer + 64));
         p->staging = _nic->registerMemory(
             std::max<std::uint64_t>(
                 (_config.controlWindow + _config.fileWindow) *
@@ -228,9 +239,8 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         // acknowledged one by one (the slot word is the
         // acknowledgement), matching Table 4's near-1:1 Flow:File
         // ratio in V3-V5; the regular path batches.
-        int file_batch = _pathOf[BodyIndex<FileMsg>] == Path::RmwFile
-                             ? 1
-                             : _config.fileCreditBatch;
+        int file_batch =
+            onPath<FileMsg>(Path::RmwFile) ? 1 : _config.fileCreditBatch;
         for (std::size_t c = 0; c < Channels; ++c) {
             auto channel = static_cast<FlowChannel>(c);
             p->returns[c] = std::make_unique<CreditReturner>(
@@ -573,15 +583,12 @@ ViaComm::processRegular(via::DescriptorPtr desc,
         return;
     }
 
-    // Identify the sender by the VI the message came in on.
-    int from = -1;
-    for (int j = 0; j < _config.nodes; ++j) {
-        if (_peers[j] && _peers[j]->vi == vi) {
-            from = j;
-            break;
-        }
-    }
-    PRESS_ASSERT(from >= 0, "completion from unknown VI");
+    // Identify the sender by the VI the message came in on: its
+    // connected end sits on the sender's NIC.
+    PRESS_ASSERT(vi->peer(), "completion on an unconnected VI");
+    int from = vi->peer()->node();
+    PRESS_ASSERT(_peers.at(from) && _peers[from]->vi == vi,
+                 "completion from unknown VI");
     Peer &peer = *_peers[from];
 
     net::Payload payload = desc->payload;

@@ -133,6 +133,14 @@ class ViaComm : public ClusterComm
         RmwFile, ///< data + metadata writes into the file rings
     };
 
+    /** True when body type @p B travels on @p path here. */
+    template <typename B>
+    bool
+    onPath(Path path) const
+    {
+        return _pathOf[BodyIndex<B>] == path;
+    }
+
     /** A regular two-sided message; every kind but Flow takes a
      *  descriptor credit. */
     void postRegular(Peer &peer, WireMsg &&w, std::uint64_t bytes);

@@ -1,6 +1,5 @@
 #include "memory.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/logging.hpp"
@@ -37,16 +36,23 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
                              bool backed)
 {
     PRESS_ASSERT(size > 0, "cannot register an empty region");
+    PRESS_ASSERT(size >> SlotShift == 0, "region of ", size,
+                 " B exceeds the ", std::uint64_t{1} << SlotShift,
+                 " B slot");
+    PRESS_ASSERT(_slots.size() + 1 < std::uint64_t{1} << (64 - SlotShift),
+                 "registration slots exhausted");
     MemoryRegion region;
-    region.handle = _nextHandle++;
-    region.base = _nextBase;
+    region.handle = static_cast<MemoryHandle>(_slots.size() + 1);
+    region.base = Address{region.handle} << SlotShift;
     region.size = size;
-    _nextBase += roundUpToPage(size) + PageSize; // guard page between
     _pinned += roundUpToPage(size);
-    Entry entry{region, std::move(hook), {}};
-    if (backed)
-        entry.backing.assign(size, 0);
-    _regions.emplace(region.base, std::move(entry));
+    auto entry = std::make_unique<Entry>(Entry{region, std::move(hook), {}});
+    if (backed) {
+        entry->backing.assign(size, 0);
+        ++_backed;
+    }
+    _slots.push_back(std::move(entry));
+    ++_live;
     if (_observer)
         _observer->onRegister(*this, region, backed);
     return region;
@@ -55,30 +61,34 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
 bool
 MemoryRegistry::deregister(MemoryHandle handle)
 {
-    for (auto it = _regions.begin(); it != _regions.end(); ++it) {
-        if (it->second.region.handle == handle) {
-            _pinned -= roundUpToPage(it->second.region.size);
-            _regions.erase(it);
-            if (_observer)
-                _observer->onDeregister(*this, handle, true);
-            return true;
-        }
+    if (handle == 0 || handle > _slots.size() || !_slots[handle - 1]) {
+        if (_observer)
+            _observer->onDeregister(*this, handle, false);
+        return false;
     }
+    std::unique_ptr<Entry> &slot = _slots[handle - 1];
+    _pinned -= roundUpToPage(slot->region.size);
+    if (!slot->backing.empty())
+        --_backed;
+    --_live;
+    slot.reset();
     if (_observer)
-        _observer->onDeregister(*this, handle, false);
-    return false;
+        _observer->onDeregister(*this, handle, true);
+    return true;
 }
 
 const MemoryRegistry::Entry *
 MemoryRegistry::entryFor(Address addr, std::uint64_t length) const
 {
-    auto it = _regions.upper_bound(addr);
-    if (it == _regions.begin())
+    // Addresses below the first slot wrap to a huge index and miss.
+    std::uint64_t slot = (addr >> SlotShift) - 1;
+    if (slot >= _slots.size() || !_slots[slot])
         return nullptr;
-    --it;
-    const Entry &e = it->second;
-    const MemoryRegion &r = e.region;
-    if (addr >= r.base && addr + length <= r.base + r.size)
+    const Entry &e = *_slots[slot];
+    // addr >= base by construction; compare lengths, never end
+    // addresses, so a huge length cannot wrap back into the region.
+    std::uint64_t offset = addr - e.region.base;
+    if (offset <= e.region.size && length <= e.region.size - offset)
         return &e;
     return nullptr;
 }
@@ -132,8 +142,8 @@ MemoryRegistry::dmaCopy(const MemoryRegistry &src, Address src_addr,
                         MemoryRegistry &dst, Address dst_addr,
                         std::uint64_t length)
 {
-    if (length == 0)
-        return;
+    if (length == 0 || src._backed == 0 || dst._backed == 0)
+        return; // plain-only registries: metadata-only transfer
     const Entry *se = src.entryFor(src_addr, length);
     Entry *de = dst.entryFor(dst_addr, length);
     if (!se || !de || se->backing.empty() || de->backing.empty())

@@ -8,6 +8,11 @@
  * non-overlapping base addresses. A region may carry a write hook so the
  * owning application observes incoming remote memory writes (this is the
  * simulation analogue of the receiver polling memory the NIC wrote).
+ *
+ * Like a real NIC's translation table, the registry is indexed by memory
+ * handle: a region's base address encodes its slot, so translating an
+ * address costs one index and one range check however many regions the
+ * node has registered.
  */
 
 #ifndef PRESS_VIA_MEMORY_HPP
@@ -15,7 +20,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -62,9 +67,15 @@ struct MemoryRegion {
 class MemoryRegistry
 {
   public:
+    /** Base-address bits below a region's slot: the largest region
+     *  registerable is 2^SlotShift - 1 bytes. */
+    static constexpr unsigned SlotShift = 40;
+
     /**
      * Register @p size bytes; returns the region. The base address is
-     * chosen by the registry (aligned to 4 KiB pages, non-overlapping).
+     * chosen by the registry: region k (handle k, counting from 1) sits
+     * at k << SlotShift. Bases and handles are never reused, so a stale
+     * address can never reach a later registration.
      */
     MemoryRegion registerMemory(std::uint64_t size, WriteHook hook = {});
 
@@ -90,7 +101,8 @@ class MemoryRegistry
 
     /** NIC-side: copy @p length bytes of backing between regions (used
      *  by the DMA engine when both ends are backed). No-op when either
-     *  side is unbacked. */
+     *  side is unbacked; free when either registry has no backed region
+     *  at all. */
     static void dmaCopy(const MemoryRegistry &src, Address src_addr,
                         MemoryRegistry &dst, Address dst_addr,
                         std::uint64_t length);
@@ -113,7 +125,7 @@ class MemoryRegistry
     std::uint64_t pinnedBytes() const { return _pinned; }
 
     /** Number of live regions. */
-    std::size_t regions() const { return _regions.size(); }
+    std::size_t regions() const { return _live; }
 
     /** Attach an instrumentation observer (nullptr detaches). */
     void setObserver(ViaObserver *observer) { _observer = observer; }
@@ -131,9 +143,12 @@ class MemoryRegistry
     const Entry *entryFor(Address addr, std::uint64_t length) const;
     Entry *entryFor(Address addr, std::uint64_t length);
 
-    std::map<Address, Entry> _regions; ///< keyed by base address
-    Address _nextBase = 0x1000;
-    MemoryHandle _nextHandle = 1;
+    /** Slot k - 1 holds the region with handle k, null once it is
+     *  deregistered. Entries are heap-held so a write hook that
+     *  registers memory never moves the hook that is running. */
+    std::vector<std::unique_ptr<Entry>> _slots;
+    std::size_t _live = 0;   ///< non-null slots
+    std::size_t _backed = 0; ///< live slots with backing storage
     std::uint64_t _pinned = 0;
     ViaObserver *_observer = nullptr;
 };

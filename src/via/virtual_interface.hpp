@@ -13,9 +13,9 @@
 #define PRESS_VIA_VIRTUAL_INTERFACE_HPP
 
 #include <cstdint>
-#include <deque>
 
 #include "net/fabric.hpp"
+#include "util/ring_queue.hpp"
 #include "via/completion_queue.hpp"
 #include "via/descriptor.hpp"
 #include "via/types.hpp"
@@ -131,9 +131,11 @@ class VirtualInterface
     VirtualInterface *_peer = nullptr;
     bool _broken = false;
 
-    std::deque<DescriptorPtr> _recvQueue;   ///< posted receive buffers
-    std::deque<DescriptorPtr> _sendDone;    ///< completed sends (no CQ)
-    std::deque<DescriptorPtr> _recvDone;    ///< completed recvs (no CQ)
+    // Empty queues allocate nothing: a VI whose completions go to CQs
+    // never touches its done queues.
+    util::RingQueue<DescriptorPtr> _recvQueue; ///< posted receive buffers
+    util::RingQueue<DescriptorPtr> _sendDone;  ///< completed sends (no CQ)
+    util::RingQueue<DescriptorPtr> _recvDone;  ///< completed recvs (no CQ)
     std::size_t _sendOutstanding = 0;
 };
 

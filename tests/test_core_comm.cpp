@@ -412,3 +412,127 @@ TEST(CommSendPath, EveryBodyChargesItsKindBytesAndMessages)
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// VIA registration follows the path table
+// ---------------------------------------------------------------------
+
+namespace {
+
+const via::ViaNic &
+nicOf(const Rig &rig, int node)
+{
+    return static_cast<const ViaComm &>(*rig.comms[node]).nic();
+}
+
+} // namespace
+
+TEST(ViaRegistration, RegionsPerPeerMatchThePathTable)
+{
+    // Per peer: staging always; recv buffers while anything sent is
+    // regular; flow words once Flow is RMW (V1+); forward + caching
+    // rings from V2; file meta + data rings from V3; the load word only
+    // for RMW load broadcasts.
+    struct Case {
+        const char *name;
+        Version version;
+        Dissemination diss;
+        std::size_t perPeer;
+    };
+    const Case cases[] = {
+        {"V0", Version::V0, Dissemination::piggyBack(), 2},
+        {"V1", Version::V1, Dissemination::piggyBack(), 3},
+        {"V3", Version::V3, Dissemination::piggyBack(), 6},
+        {"V5", Version::V5, Dissemination::piggyBack(), 6},
+        {"V5-gossip", Version::V5, Dissemination::gossip(4), 7},
+        {"V0-load-word", Version::V0, Dissemination::broadcast(1, true), 3},
+    };
+    const int n = 4;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        Rig rig(n, Protocol::ViaClan, c.version, c.diss);
+        for (int i = 0; i < n; ++i)
+            EXPECT_EQ(nicOf(rig, i).memory().regions(),
+                      c.perPeer * (n - 1));
+    }
+}
+
+TEST(ViaRegistration, EveryRmwTargetIsRegistered)
+{
+    // Drive every body each configuration sends, enough of each to wrap
+    // the ring windows, and require that no remote write misses a
+    // registered region.
+    const LoadMsg loadRumor{9, 2, 1, 0};
+    const CachingMsg cachingRumor{5, true, 2, 1, 0};
+    const Dissemination disses[] = {
+        Dissemination::piggyBack(), Dissemination::broadcast(1, true),
+        Dissemination::broadcast(1, false), Dissemination::gossip(4),
+        Dissemination::tree(4)};
+    for (Version v : {Version::V0, Version::V1, Version::V2, Version::V3,
+                      Version::V4, Version::V5}) {
+        for (const Dissemination &diss : disses) {
+            SCOPED_TRACE(std::string(versionName(v)) + " " + diss.label());
+            Rig rig(3, Protocol::ViaClan, v, diss);
+            rig.comms[1]->setHandler([&](const Incoming &in) {
+                rig.received[1].push_back(in);
+                if (in.kind == MsgKind::File)
+                    rig.comms[1]->fileBufferDone(in.from);
+            });
+            std::vector<Body> bodies = {
+                ForwardMsg{7, 1}, CachingMsg{5, true},
+                MembershipMsg{3, 2, 1, 0, 0}, FileMsg{7, 1, 5000},
+                FlowMsg{0, FlowChannel::Regular}};
+            using Kind = Dissemination::Kind;
+            if (diss.kind == Kind::Broadcast)
+                bodies.push_back(LoadMsg{9});
+            if (diss.kind == Kind::Tree) {
+                bodies.push_back(loadRumor);
+                bodies.push_back(cachingRumor);
+            }
+            if (diss.kind == Kind::Gossip) {
+                bodies.push_back(LoadDigestMsg{{loadRumor}});
+                bodies.push_back(CachingDigestMsg{{cachingRumor}});
+            }
+            const int rounds = 3 * rig.config.controlWindow;
+            for (int k = 0; k < rounds; ++k)
+                for (const Body &b : bodies)
+                    rig.comms[0]->send(1, b);
+            rig.sim.run();
+            for (int i = 0; i < 3; ++i)
+                EXPECT_EQ(nicOf(rig, i).stats().rdmaBadAddress, 0u)
+                    << "node " << i;
+            for (const Body &b : bodies) {
+                MsgKind kind = kindOf(b);
+                if (kind != MsgKind::Flow) {
+                    EXPECT_GE(rig.countKind(1, kind), rounds)
+                        << msgKindName(kind);
+                }
+            }
+        }
+    }
+}
+
+TEST(ViaRegistration, RegularReceivesNameTheirSender)
+{
+    // Six senders share node 0's receive CQ. Each sends three windows'
+    // worth, so every sender also needs its credits back from node 0.
+    const int n = 6;
+    Rig rig(n, Protocol::ViaClan, Version::V0);
+    const int per = 3 * rig.config.controlWindow;
+    for (int i = 1; i < n; ++i)
+        for (int k = 0; k < per; ++k)
+            rig.comms[i]->send(0, ForwardMsg{static_cast<std::uint32_t>(i),
+                                             static_cast<std::uint32_t>(k)});
+    rig.sim.run();
+    std::vector<std::uint32_t> next(n, 0);
+    for (const Incoming &in : rig.received[0]) {
+        if (in.kind != MsgKind::Forward)
+            continue;
+        const auto *f = bodyAs<ForwardMsg>(in);
+        ASSERT_TRUE(f);
+        EXPECT_EQ(in.from, static_cast<int>(f->file));
+        EXPECT_EQ(f->tag, next[in.from]++) << "from " << in.from;
+    }
+    for (int i = 1; i < n; ++i)
+        EXPECT_EQ(next[i], static_cast<std::uint32_t>(per)) << "from " << i;
+}

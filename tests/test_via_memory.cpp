@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "via/memory.hpp"
 
 using press::via::MemoryRegistry;
@@ -97,4 +100,102 @@ TEST(MemoryRegistry, ManyRegionsLookup)
         EXPECT_EQ(found->handle, r.handle);
     }
     EXPECT_EQ(reg.regions(), 100u);
+}
+
+TEST(MemoryRegistry, WrappingRangeRejected)
+{
+    // addr + length wraps past 2^64 back inside the region; the range
+    // check must compare lengths, not end addresses.
+    MemoryRegistry reg;
+    auto r = reg.registerMemory(4096);
+    EXPECT_FALSE(reg.find(r.base + 8, UINT64_MAX - 7).has_value());
+    EXPECT_FALSE(reg.deliverWrite(r.base + 8, UINT64_MAX - 7, nullptr, 0));
+    EXPECT_FALSE(reg.find(r.base, UINT64_MAX).has_value());
+    EXPECT_TRUE(reg.find(r.base + 8, 4088).has_value());
+}
+
+TEST(MemoryRegistry, HookMayRegisterAndWriteWhileRunning)
+{
+    // The running hook's own entry must stay put while it registers
+    // enough regions to grow the table several times over.
+    MemoryRegistry reg;
+    std::uint64_t inner_offset = 0;
+    int outer_tag_seen = 0;
+    press::via::MemoryRegion second{};
+    auto first = reg.registerMemory(
+        4096, [&, tag = 7](std::uint64_t, std::uint64_t, const Payload &,
+                           std::uint32_t) {
+            for (int i = 0; i < 64; ++i)
+                reg.registerMemory(64);
+            second = reg.registerMemory(
+                4096, [&](std::uint64_t off, std::uint64_t,
+                          const Payload &, std::uint32_t) {
+                    inner_offset = off;
+                });
+            EXPECT_TRUE(reg.deliverWrite(second.base + 40, 8, nullptr, 0));
+            outer_tag_seen = tag; // captures still valid after growth
+        });
+    EXPECT_TRUE(reg.deliverWrite(first.base, 8, nullptr, 0));
+    EXPECT_EQ(outer_tag_seen, 7);
+    EXPECT_EQ(inner_offset, 40u);
+    EXPECT_EQ(reg.regions(), 66u);
+    EXPECT_TRUE(reg.find(second.base, 4096).has_value());
+}
+
+TEST(MemoryRegistry, DeregisteredBaseNeverReturns)
+{
+    MemoryRegistry reg;
+    auto gone = reg.registerMemory(4096);
+    ASSERT_TRUE(reg.deregister(gone.handle));
+    for (int i = 0; i < 50; ++i) {
+        auto r = reg.registerMemory(4096);
+        EXPECT_NE(r.base, gone.base);
+        EXPECT_NE(r.handle, gone.handle);
+        bool disjoint = r.base >= gone.base + gone.size ||
+                        r.base + r.size <= gone.base;
+        EXPECT_TRUE(disjoint);
+    }
+    EXPECT_FALSE(reg.find(gone.base, 1).has_value());
+    EXPECT_FALSE(reg.find(gone.base + 100, 8).has_value());
+    EXPECT_FALSE(reg.deliverWrite(gone.base, 8, nullptr, 0));
+    EXPECT_FALSE(reg.deregister(gone.handle));
+    EXPECT_EQ(reg.regions(), 50u);
+}
+
+TEST(MemoryRegistry, DmaCopyBetweenBackedOnlyAndCountsStayRight)
+{
+    MemoryRegistry src;
+    MemoryRegistry dst;
+    auto s = src.registerBacked(4096);
+    auto plain_src = src.registerMemory(4096);
+    auto d1 = dst.registerBacked(4096);
+    auto plain_dst = dst.registerMemory(4096);
+    const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8};
+    src.store(s.base + 16, bytes);
+
+    MemoryRegistry::dmaCopy(src, s.base + 16, dst, d1.base + 32, 8);
+    EXPECT_EQ(dst.fetch(d1.base + 32, 8), bytes);
+
+    // Either end plain: metadata only, nothing moves and nothing faults.
+    MemoryRegistry::dmaCopy(src, s.base + 16, dst, plain_dst.base, 8);
+    MemoryRegistry::dmaCopy(src, plain_src.base, dst, d1.base, 8);
+    EXPECT_EQ(dst.fetch(d1.base, 8), std::vector<std::uint8_t>(8, 0));
+
+    // Dropping a plain region must not touch the backed count...
+    ASSERT_TRUE(dst.deregister(plain_dst.handle));
+    MemoryRegistry::dmaCopy(src, s.base + 16, dst, d1.base + 64, 8);
+    EXPECT_EQ(dst.fetch(d1.base + 64, 8), bytes);
+
+    // ...and dropping a backed one leaves the others copying.
+    auto d2 = dst.registerBacked(4096);
+    ASSERT_TRUE(dst.deregister(d1.handle));
+    MemoryRegistry::dmaCopy(src, s.base + 16, dst, d2.base, 8);
+    EXPECT_EQ(dst.fetch(d2.base, 8), bytes);
+
+    // No backed region left on one side: a copy is a no-op.
+    ASSERT_TRUE(dst.deregister(d2.handle));
+    auto plain_again = dst.registerMemory(4096);
+    MemoryRegistry::dmaCopy(src, s.base + 16, dst, plain_again.base, 8);
+    EXPECT_FALSE(dst.isBacked(plain_again.base));
+    EXPECT_EQ(dst.regions(), 1u);
 }

@@ -331,3 +331,39 @@ TEST(ViaTransfer, InFlightTrafficDiscardedOnDisconnect)
     EXPECT_EQ(recv->status, via::Status::ErrorFlushed);
     EXPECT_FALSE(vb->pollRecv());
 }
+
+TEST(ViaTransfer, DescriptorQueuesStayFifoAcrossGrowth)
+{
+    // 20 descriptors overflow the queues' first buffer (8 entries); two
+    // rounds make the second one wrap around the grown buffer.
+    Harness h;
+    via::VirtualInterface *vb = nullptr;
+    auto *va = h.pair(via::Reliability::ReliableDelivery, nullptr,
+                      nullptr, &vb);
+    auto src = h.nicA.registerMemory(1 << 16);
+    auto dst = h.nicB.registerMemory(1 << 16);
+    constexpr int N = 20;
+    for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < N; ++i)
+            vb->postRecv(via::makeRecv(dst.base + i * 64, 64));
+        EXPECT_EQ(vb->recvPosted(), static_cast<std::size_t>(N));
+        for (int i = 0; i < N; ++i)
+            va->postSend(via::makeSend(src.base + i * 64, 16,
+                                       makePayload<int>(i)));
+        h.sim.run();
+        for (int i = 0; i < N; ++i) {
+            auto got = vb->pollRecv();
+            ASSERT_TRUE(got) << "round " << round << " recv " << i;
+            EXPECT_EQ(got->localAddr, dst.base + i * 64);
+            EXPECT_EQ(*payloadAs<int>(got->payload), i);
+        }
+        EXPECT_FALSE(vb->pollRecv());
+        for (int i = 0; i < N; ++i) {
+            auto sent = va->pollSend();
+            ASSERT_TRUE(sent) << "round " << round << " send " << i;
+            EXPECT_EQ(sent->localAddr, src.base + i * 64);
+            EXPECT_EQ(sent->status, via::Status::Complete);
+        }
+        EXPECT_FALSE(va->pollSend());
+    }
+}
