@@ -6,8 +6,9 @@
  * cross the T = 80 overload-replication pivot during the spike and
  * nowhere before it; keep-alive sessions must skip exactly the
  * connection-setup share of mu_p; the dynamic request class must
- * bypass the storage path; and the client-side in-flight cap must shed
- * load without losing accounting.
+ * bypass the storage path; the client-side in-flight cap must shed
+ * load without losing accounting; and a crash inside the measured
+ * window must not strand an open-loop request.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "check/tick_race.hpp"
 #include "core/cluster.hpp"
 #include "core/press_server.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/trace_io.hpp"
 #include "traffic/traffic_model.hpp"
 #include "workload/trace_gen.hpp"
@@ -302,4 +304,30 @@ TEST(TrafficCluster, InFlightCapShedsLoadWithoutLosingAccounting)
     EXPECT_EQ(r.requestsMeasured + r.droppedRequests, r.offeredRequests);
     EXPECT_EQ(r.inFlightEnd, 0u);
     EXPECT_TRUE(cluster.simulator().idle());
+}
+
+TEST(TrafficCluster, CrashInsideTheMeasuredWindowLosesNoArrival)
+{
+    // Node 1 dies 1 s into the measured window with open-loop arrivals
+    // (and, in the second run, keep-alive session requests) in flight
+    // on it. The client's dead-node scan must re-aim every one of them,
+    // so every arrival is answered or counted as dropped.
+    auto trace = smallTrace(20000);
+    for (bool sessions : {false, true}) {
+        SCOPED_TRACE(sessions ? "sessions" : "single requests");
+        PressConfig config = openConfig();
+        config.warmupFraction = 0; // no closed-loop stragglers
+        config.traffic = sessions ? traffic::keepAliveScenario(1200)
+                                  : traffic::steadyScenario(1200);
+        config.fault = fault::FaultPlan::parse("crash:1@1s;restart:1@2s");
+        PressCluster cluster(config, trace);
+        auto r = cluster.run(5000);
+
+        EXPECT_GT(r.clientRetries, 0u);
+        EXPECT_EQ(r.inFlightEnd, 0u);
+        EXPECT_EQ(r.requestsMeasured + r.droppedRequests,
+                  r.offeredRequests);
+        EXPECT_EQ(r.requestsLost, 0u);
+        EXPECT_TRUE(cluster.simulator().idle());
+    }
 }
