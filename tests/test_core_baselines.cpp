@@ -110,6 +110,32 @@ TEST(LardMode, RunsCleanUnderBothCheckersInAbortMode)
     EXPECT_TRUE(cluster.simulator().idle());
 }
 
+TEST(LardMode, RepliesReturnToTheRequestingClientPort)
+{
+    // The back-end replies straight to the client over the handed-off
+    // connection, so every client port gets back exactly as many
+    // replies as it sent requests, in both client modes.
+    workload::Trace trace = baselineTrace();
+    for (auto mode : {PressConfig::ClientMode::ClosedLoop,
+                      PressConfig::ClientMode::OpenLoop}) {
+        PressConfig c = baseConfig(Distribution::FrontEndLard);
+        c.warmupFraction = 0;
+        c.clientMode = mode;
+        c.openLoopRate = 600;
+        PressCluster cluster(c, trace);
+        cluster.run(6000);
+        ASSERT_TRUE(cluster.simulator().idle());
+        std::uint64_t sent = 0;
+        for (int p = c.nodes; p < 2 * c.nodes; ++p) {
+            const auto &port = cluster.externalFabric().stats(p);
+            EXPECT_EQ(port.messagesReceived, port.messagesSent)
+                << "client port " << p;
+            sent += port.messagesSent;
+        }
+        EXPECT_EQ(sent, 6000u);
+    }
+}
+
 TEST(LardMode, BuildsLocality)
 {
     workload::Trace trace = baselineTrace(30000);
