@@ -13,8 +13,8 @@
 #   (e) races: the determinism race hunt — press_races reruns the
 #       golden scenarios under K seeded equal-tick permutations and
 #       checks every cross-domain edge against its lookahead bound;
-#       the emitted lookahead table must be byte-identical across
-#       --jobs values (see docs/static-analysis.md)
+#       its findings must be byte-identical across --jobs values (see
+#       docs/static-analysis.md)
 #   (f) scale: the scalable dissemination paths — a 64-node gossip +
 #       tree smoke with the VIA checker live plus the sharded-vs-
 #       replicated directory oracle (examples/scale_smoke), VIA V5 x
@@ -125,15 +125,16 @@ stage_races() {
     # Tick-race hunt + causality check over the golden scenarios:
     # K=8 seeded permutations of the equal-tick cross-domain firing
     # order per scenario, compared against the FIFO baseline, then a
-    # Record-mode causality pass emitting the measured per-link
-    # minimum-lookahead table. The table must not depend on the
-    # worker count — run twice and diff.
+    # Record-mode causality pass per scenario. Either exits nonzero on
+    # a finding. The findings must not depend on the worker count —
+    # run twice and diff everything but the header line that names
+    # the job count.
     ./build/tools/press_races --seeds 8 --jobs "$(nproc)" \
-        --requests 20000 --table build/lookahead-j4.txt
+        --requests 20000 | grep -v ' jobs)$' > build/races-jN.txt
     ./build/tools/press_races --seeds 8 --jobs 1 \
-        --requests 20000 --table build/lookahead-j1.txt
-    diff build/lookahead-j1.txt build/lookahead-j4.txt
-    echo "lookahead table byte-identical across --jobs values"
+        --requests 20000 | grep -v ' jobs)$' > build/races-j1.txt
+    diff build/races-j1.txt build/races-jN.txt
+    echo "press_races findings byte-identical across --jobs values"
 }
 
 stage_scale() {
@@ -155,8 +156,7 @@ stage_scale() {
     done
     # Tick-race hunt focused on the gossip + sharded scenario: K=4
     # seeded equal-tick permutations against the FIFO baseline.
-    ./build/tools/press_races --seeds 4 --requests 8000 --filter G4 \
-        --table build/lookahead-scale.txt
+    ./build/tools/press_races --seeds 4 --requests 8000 --filter G4
     # The benchmark builds src/ on its own, out of tree: its self-tests
     # and one 256-node trace run keep a src/ change from breaking the
     # benchmark build, its correctness gate, or the registration the

@@ -19,12 +19,6 @@
  *    take at least the fabric's unloaded latency for its size (queueing
  *    only ever adds time).
  *
- * Alongside the pass/fail verdict it measures the *actual* minimum
- * delay per (from, to) domain pair — the calibrated lookahead table a
- * parallel scheduler would be built on — printable via
- * writeLookaheadTable(), deterministically ordered and byte-identical
- * across reruns.
- *
  * CheckMode::Abort panics on the first violation (the mode checked
  * simulations run under); CheckMode::Record accumulates structured
  * reports so tests can inject violations and assert detection.
@@ -34,7 +28,6 @@
 #define PRESS_CHECK_CAUSALITY_CHECKER_HPP
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -67,8 +60,7 @@ const char *causalityKindName(CausalityViolation::Kind kind);
 
 /**
  * The lookahead checker. Attach it to one Simulator and any number of
- * fabrics; declare per-domain-pair bounds; run; read the verdict and
- * the measured lookahead table.
+ * fabrics; declare per-domain-pair bounds; run; read the verdict.
  */
 class CausalityChecker : public sim::ScheduleObserver,
                          public net::FabricObserver
@@ -88,26 +80,11 @@ class CausalityChecker : public sim::ScheduleObserver,
     void detach();
 
     /**
-     * Size the domain universe to @p count domains (0..count-1) and
-     * (re)label them "d<i>". Edges naming larger domains grow the
-     * matrix on demand; declaring up front keeps labels and table
-     * ordering stable.
-     */
-    void declareDomains(int count);
-
-    /** Label @p domain in reports and the lookahead table. */
-    void setDomainLabel(sim::Domain domain, std::string label);
-
-    /**
      * Require every scheduling edge from @p from to @p to (a directed
      * pair of distinct domains) to carry a delay of at least @p bound
-     * ns. Pairs without a bound are measured but never flagged.
+     * ns. Pairs without a bound are never flagged.
      */
     void setBound(sim::Domain from, sim::Domain to, sim::Tick bound);
-
-    /** setBound() over every ordered pair of distinct declared
-     *  domains. */
-    void setAllBounds(sim::Tick bound);
 
     /** Watch @p fabric deliveries against its unloaded latency. */
     void watchFabric(net::Fabric &fabric);
@@ -140,29 +117,11 @@ class CausalityChecker : public sim::ScheduleObserver,
      *  scheduling, exempt from bounds. */
     std::uint64_t untaggedEdges() const { return _untaggedEdges; }
 
-    /**
-     * Minimum delay observed on (from, to) scheduling edges, or -1 when
-     * the pair never occurred.
-     */
-    sim::Tick minDelay(sim::Domain from, sim::Domain to) const;
-
     /** Declared bound for (from, to), or -1 when none was set. */
     sim::Tick bound(sim::Domain from, sim::Domain to) const;
 
-    /**
-     * The measured lookahead table: one row per cross-domain pair that
-     * carried at least one edge — from, to, edge count, minimum delay,
-     * declared bound, verdict — ordered by (from, to). A pure function
-     * of the simulation, so reruns produce byte-identical bytes.
-     */
-    void writeLookaheadTable(std::ostream &os) const;
-
     /** Multi-line report of everything retained. */
     std::string report() const;
-
-    /** Drop accumulated measurements and reports (not attachments,
-     *  labels, or bounds). */
-    void clear();
 
     CheckMode mode() const { return _mode; }
 
@@ -170,35 +129,14 @@ class CausalityChecker : public sim::ScheduleObserver,
     static constexpr std::size_t MaxRetained = 1024;
 
   private:
-    /** Per ordered (from, to) domain pair. */
-    struct EdgeStats {
-        std::uint64_t count = 0;
-        sim::Tick minDelay = -1; ///< -1 = no edge seen yet
-        sim::Tick bound = -1;    ///< -1 = unbounded
-    };
-
-    /** Per watched fabric, in attach order. */
-    struct FabricStats {
-        net::Fabric *fabric = nullptr;
-        std::uint64_t deliveries = 0;
-        sim::Tick minLatency = -1;
-    };
-
-    /** Grow the matrix to cover @p domain; returns false for
-     *  NoDomain. */
-    bool cover(sim::Domain domain);
-    EdgeStats &cell(sim::Domain from, sim::Domain to);
-    const EdgeStats *cellIfAny(sim::Domain from, sim::Domain to) const;
-    std::string domainLabel(sim::Domain domain) const;
     void record(CausalityViolation violation);
 
     sim::Simulator &_sim;
     CheckMode _mode;
     bool _attached = false;
-    int _domains = 0;
-    std::vector<EdgeStats> _matrix; ///< _domains x _domains, row-major
-    std::vector<std::string> _labels;
-    std::vector<FabricStats> _fabrics;
+    /** _bounds[from][to]; -1 (or past the row's end) = unbounded. */
+    std::vector<std::vector<sim::Tick>> _bounds;
+    std::vector<net::Fabric *> _fabrics;
     std::vector<CausalityViolation> _violations;
     std::uint64_t _total = 0;
     std::uint64_t _checks = 0;

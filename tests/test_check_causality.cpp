@@ -1,14 +1,11 @@
 /**
  * @file
  * Tests for check::CausalityChecker: cross-domain scheduling edges must
- * carry at least the declared lookahead, fabric deliveries must respect
- * the unloaded-latency floor, and the measured lookahead table must be
- * a deterministic function of the run.
+ * carry at least the declared lookahead, and fabric deliveries must
+ * respect the unloaded-latency floor.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "check/causality_checker.hpp"
 #include "net/fabric.hpp"
@@ -27,9 +24,6 @@ namespace {
 void
 declareTwoDomains(CausalityChecker &checker)
 {
-    checker.declareDomains(2);
-    checker.setDomainLabel(0, "left");
-    checker.setDomainLabel(1, "right");
     checker.setBound(0, 1, 1 * US);
     checker.setBound(1, 0, 1 * US);
 }
@@ -50,8 +44,8 @@ TEST(CausalityChecker, CleanWhenEdgesMeetTheBound)
 
     EXPECT_TRUE(checker.clean());
     EXPECT_EQ(checker.crossDomainEdges(), 2u);
-    EXPECT_EQ(checker.minDelay(0, 1), 1 * US);
-    EXPECT_EQ(checker.minDelay(1, 0), -1); // pair never used
+    EXPECT_EQ(checker.bound(0, 1), 1 * US);
+    EXPECT_EQ(checker.bound(0, 2), -1); // undeclared pair: unbounded
 }
 
 TEST(CausalityChecker, RecordsABelowLookaheadCrossDomainEdge)
@@ -79,7 +73,7 @@ TEST(CausalityChecker, RecordsABelowLookaheadCrossDomainEdge)
     EXPECT_EQ(v.delay, 0);
     EXPECT_EQ(v.bound, 1 * US);
     EXPECT_NE(v.format().find("below-lookahead"), std::string::npos);
-    EXPECT_NE(checker.report().find("left -> right"), std::string::npos);
+    EXPECT_NE(checker.report().find("0 -> 1"), std::string::npos);
 }
 
 TEST(CausalityChecker, AbortModePanicsOnFirstViolation)
@@ -119,7 +113,6 @@ TEST(CausalityChecker, RealFabricTrafficMeetsItsOwnWireBound)
     sim::Simulator sim;
     net::Fabric fabric(sim, net::FabricConfig::clan(), 2);
     CausalityChecker checker(sim, CheckMode::Abort);
-    checker.declareDomains(2);
     checker.setBound(0, 1, fabric.config().wireLatency);
     checker.setBound(1, 0, fabric.config().wireLatency);
     checker.watchFabric(fabric);
@@ -133,8 +126,8 @@ TEST(CausalityChecker, RealFabricTrafficMeetsItsOwnWireBound)
     EXPECT_TRUE(delivered);
     EXPECT_TRUE(checker.clean());
     // The wire hop is the only cross-domain edge, at exactly the wire
-    // latency: the measured lookahead equals the physical bound.
-    EXPECT_EQ(checker.minDelay(0, 1), fabric.config().wireLatency);
+    // latency: it meets the physical bound without slack.
+    EXPECT_EQ(checker.crossDomainEdges(), 1u);
     EXPECT_GE(checker.checksPerformed(), 2u); // edge + delivery
 }
 
@@ -143,7 +136,6 @@ TEST(CausalityChecker, FlagsADeliveryUnderTheUnloadedLatency)
     sim::Simulator sim;
     net::Fabric fabric(sim, net::FabricConfig::clan(), 2);
     CausalityChecker checker(sim, CheckMode::Record);
-    checker.declareDomains(2);
     checker.watchFabric(fabric);
 
     // A real Fabric cannot deliver below its floor (queueing only adds
@@ -160,50 +152,4 @@ TEST(CausalityChecker, FlagsADeliveryUnderTheUnloadedLatency)
     EXPECT_EQ(v.kind, CausalityViolation::Kind::FabricBelowFloor);
     EXPECT_EQ(v.delay, floor / 10);
     EXPECT_EQ(v.bound, floor);
-}
-
-TEST(CausalityChecker, LookaheadTableIsDeterministic)
-{
-    auto render = []() {
-        sim::Simulator sim;
-        net::Fabric fabric(sim, net::FabricConfig::clan(), 2);
-        CausalityChecker checker(sim, CheckMode::Record);
-        checker.declareDomains(2);
-        checker.setBound(0, 1, fabric.config().wireLatency);
-        checker.setBound(1, 0, fabric.config().wireLatency);
-        checker.watchFabric(fabric);
-        checker.attach();
-        sim.setCurrentDomain(0);
-        fabric.send(0, 1, 1024, [] {});
-        fabric.send(0, 1, 8192, [] {});
-        sim.run();
-        std::ostringstream os;
-        checker.writeLookaheadTable(os);
-        return os.str();
-    };
-    std::string a = render();
-    std::string b = render();
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a.find("d0 -> d1"), std::string::npos);
-    EXPECT_NE(a.find("ok"), std::string::npos);
-    EXPECT_NE(a.find("fabric cLAN"), std::string::npos);
-}
-
-TEST(CausalityChecker, ClearResetsMeasurementsButKeepsBounds)
-{
-    sim::Simulator sim;
-    CausalityChecker checker(sim, CheckMode::Record);
-    declareTwoDomains(checker);
-    checker.attach();
-
-    sim.setCurrentDomain(0);
-    sim.schedule(1 * US, [&sim] { sim.scheduleIn(1, 0, [] {}); });
-    sim.run();
-    ASSERT_FALSE(checker.clean());
-
-    checker.clear();
-    EXPECT_TRUE(checker.clean());
-    EXPECT_EQ(checker.crossDomainEdges(), 0u);
-    EXPECT_EQ(checker.minDelay(0, 1), -1);
-    EXPECT_EQ(checker.bound(0, 1), 1 * US); // bounds survive clear()
 }

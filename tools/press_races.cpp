@@ -1,6 +1,6 @@
 /**
  * @file
- * press_races: the determinism race detector + lookahead analyzer CLI.
+ * press_races: the determinism race detector + causality check CLI.
  *
  * Phase 1 (hunt): reruns the golden-test cluster scenarios under K
  * seeded permutations of the equal-tick cross-domain event order
@@ -8,20 +8,19 @@
  * baseline. Any divergence is a latent tick-race: code whose results
  * depend on an event ordering a parallel kernel would not guarantee.
  *
- * Phase 2 (lookahead): one sequential Record-mode causality run per
- * protocol (check::CausalityChecker) verifying that every cross-domain
- * scheduling edge carries at least its link's wire latency, and
- * emitting the measured per-link minimum-lookahead table. The table is
- * a pure function of the simulation — byte-identical across reruns and
- * whatever --jobs was used for phase 1 — so scripts/check.sh diffs it
- * across jobs counts.
+ * Phase 2 (causality): one sequential Record-mode causality run per
+ * scenario (check::CausalityChecker) verifying that every cross-domain
+ * scheduling edge carries at least its link's wire latency and every
+ * fabric delivery at least its unloaded latency. Every finding is a
+ * pure function of the simulation, so the output below the header
+ * line (which names the job count) is byte-identical for any --jobs;
+ * scripts/check.sh diffs it across jobs counts.
  *
  * Exit status: 0 when both phases are clean, 1 otherwise.
  */
 
 #include <bit>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -42,7 +41,6 @@ struct RaceOptions {
     std::uint64_t baseSeed = 1;
     int jobs = 1;
     std::uint64_t requests = 20000;
-    std::string tablePath = "lookahead.txt";
     std::string filter; ///< keep scenarios whose label contains this
 
     static RaceOptions
@@ -60,8 +58,6 @@ struct RaceOptions {
                     static_cast<int>(util::cliInt(argc, argv, i, 1, 4096));
             } else if (!std::strcmp(argv[i], "--requests")) {
                 o.requests = util::cliU64(argc, argv, i);
-            } else if (!std::strcmp(argv[i], "--table")) {
-                o.tablePath = util::cliValue(argc, argv, i);
             } else if (!std::strcmp(argv[i], "--filter")) {
                 o.filter = util::cliValue(argc, argv, i);
             } else if (!std::strcmp(argv[i], "--help")) {
@@ -73,14 +69,10 @@ struct RaceOptions {
                        "  --seed S      root of the seed schedule "
                        "(default 1)\n"
                        "  --jobs N      worker threads for the hunt "
-                       "(default 1); findings and\n"
-                       "                the lookahead table are "
-                       "byte-identical for any N\n"
+                       "(default 1); findings are\n"
+                       "                byte-identical for any N\n"
                        "  --requests N  measured requests per run "
                        "(default 20000)\n"
-                       "  --table F     write the measured lookahead "
-                       "table to F\n"
-                       "                (default lookahead.txt)\n"
                        "  --filter S    only scenarios whose label "
                        "contains S\n"
                        "  --help        this text\n";
@@ -202,10 +194,10 @@ runScenario(const core::PressConfig &base, const workload::Trace &trace,
     return fp;
 }
 
-/** One FIFO Record-mode causality run; appends its table to @p os. */
+/** One FIFO Record-mode causality run; prints its verdict line. */
 bool
 runCausality(const core::PressConfig &base, const workload::Trace &trace,
-             std::uint64_t requests, std::ostream &os)
+             std::uint64_t requests)
 {
     core::PressConfig config = base;
     config.causality = core::ViaCheck::Record;
@@ -217,10 +209,10 @@ runCausality(const core::PressConfig &base, const workload::Trace &trace,
 
     const check::CausalityChecker *checker = cluster.causalityChecker();
     PRESS_ASSERT(checker, "causality checker was not created");
-    os << "== " << config.label() << " (" << config.nodes
-       << " nodes) ==\n";
-    checker->writeLookaheadTable(os);
-    os << "\n";
+    std::cout << config.label() << "/" << config.nodes << "n: "
+              << checker->crossDomainEdges() << " cross-domain edges, "
+              << checker->checksPerformed() << " checks, "
+              << checker->totalViolations() << " violations\n";
     if (!checker->clean())
         std::cerr << checker->report();
     return checker->clean();
@@ -268,19 +260,10 @@ main(int argc, char **argv)
     bool races_clean = hunter.run();
     std::cout << hunter.report();
 
-    std::cout << "\n== press_races: causality/lookahead check ==\n";
-    std::ostringstream table;
+    std::cout << "\n== press_races: causality check ==\n";
     bool causality_clean = true;
     for (const core::PressConfig &config : configs)
-        causality_clean &= runCausality(config, trace, opts.requests, table);
-
-    std::ofstream out(opts.tablePath, std::ios::binary);
-    out << table.str();
-    out.close();
-    if (!out)
-        util::fatal("cannot write ", opts.tablePath);
-    std::cout << table.str();
-    std::cout << "lookahead table written to " << opts.tablePath << "\n";
+        causality_clean &= runCausality(config, trace, opts.requests);
 
     std::cout << "\nraces: " << (races_clean ? "clean" : "DIVERGED")
               << ", causality: "
