@@ -12,8 +12,8 @@
  *
  * The cost asymmetry the model exposes: requests after the first skip
  * Calibration::service.connSetup on the server CPU and the TCP
- * handshake bytes on the external wire (see PressCluster::openIssue
- * and PressServer::handleClientRequest).
+ * handshake bytes on the external wire (see PressCluster::issue and
+ * PressServer::handleClientRequest).
  */
 
 #ifndef PRESS_TRAFFIC_SESSION_HPP
