@@ -18,9 +18,9 @@
 #   (f) scale: the scalable dissemination paths — a 64-node gossip +
 #       tree smoke with the VIA checker live plus the sharded-vs-
 #       replicated directory oracle (examples/scale_smoke), VIA V5 x
-#       gossip/tree cluster runs with the checker aborting, a K=4
-#       tick-race hunt focused on the gossip scenario, and the
-#       benchmark's out-of-tree build, self-tests and a checked
+#       gossip/tree cluster runs with the checker aborting, K=4
+#       tick-race hunts focused on the gossip and tree scenarios, and
+#       the benchmark's out-of-tree build, self-tests and a checked
 #       256-node run (perfbench/)
 #   (g) fault: the fault-tolerance subsystem — a churn bench smoke
 #       (kill 2 of 16 mid-trace; zero lost requests is the exit
@@ -154,9 +154,10 @@ stage_scale() {
         PRESS_CHECK=1 ./build/examples/trace_server --proto via \
             --version 5 --nodes 8 --dissemination "$diss" --requests 30000
     done
-    # Tick-race hunt focused on the gossip + sharded scenario: K=4
+    # Tick-race hunt focused on the gossip and tree scenarios: K=4
     # seeded equal-tick permutations against the FIFO baseline.
     ./build/tools/press_races --seeds 4 --requests 8000 --filter G4
+    ./build/tools/press_races --seeds 4 --requests 8000 --filter T4
     # The benchmark builds src/ on its own, out of tree: its self-tests
     # and one 256-node trace run keep a src/ change from breaking the
     # benchmark build, its correctness gate, or the registration the

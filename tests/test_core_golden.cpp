@@ -227,3 +227,72 @@ TEST(GoldenStats, ClosedLoopCrashRestartWithClientRetries)
     EXPECT_EQ(events, 394137u);
     EXPECT_EQ(now, 60941374086);
 }
+
+// The scalable carriers under churn: gossip digest rounds and tree
+// waves each carry load, caching and membership news, and the crash
+// and restart make all three cross the carrier (the restarted node's
+// cold cache re-announces, the survivors relay the view changes).
+
+namespace {
+
+core::PressConfig
+churnConfig(core::Dissemination dissemination)
+{
+    core::PressConfig config;
+    config.protocol = core::Protocol::ViaClan;
+    config.version = core::Version::V0;
+    config.nodes = 8;
+    config.dissemination = dissemination;
+    config.fault = fault::FaultPlan::parse("crash:3@16s;restart:3@22s");
+    return config;
+}
+
+} // namespace
+
+TEST(GoldenStats, GossipEightNodesCrashRestart)
+{
+    auto trace = goldenTrace();
+    auto config = churnConfig(core::Dissemination::gossip(4));
+    std::uint64_t events = 0;
+    sim::Tick now = 0;
+    auto r = runGolden(config, trace, &events, &now, 8000);
+
+    EXPECT_EQ(r.throughput, 462.58842768090818);
+    EXPECT_EQ(r.avgLatencyMs, 1204.6692228664849);
+    EXPECT_EQ(r.p99LatencyMs, 7946.5643983454793);
+    EXPECT_EQ(r.requestsMeasured, 8704u);
+    EXPECT_EQ(r.forwardFraction, 0.24981495188749075);
+    EXPECT_EQ(r.localHitFraction, 0.18837897853441896);
+    EXPECT_EQ(r.diskReads, 4554u);
+    EXPECT_EQ(r.clientRetries, 106u);
+    EXPECT_EQ(r.requestsLost, 0u);
+    EXPECT_EQ(r.gossipRounds, 6352u);
+    EXPECT_EQ(r.gossipRumorSends, 427048u);
+    EXPECT_EQ(r.membershipSends, 54u);
+    EXPECT_EQ(events, 1131108u);
+    EXPECT_EQ(now, 34510457387);
+}
+
+TEST(GoldenStats, TreeEightNodesCrashRestart)
+{
+    auto trace = goldenTrace();
+    auto config = churnConfig(core::Dissemination::tree(4));
+    std::uint64_t events = 0;
+    sim::Tick now = 0;
+    auto r = runGolden(config, trace, &events, &now, 8000);
+
+    EXPECT_EQ(r.throughput, 435.09833320418767);
+    EXPECT_EQ(r.avgLatencyMs, 1215.2744068489608);
+    EXPECT_EQ(r.p99LatencyMs, 7987.147862471109);
+    EXPECT_EQ(r.requestsMeasured, 8703u);
+    EXPECT_EQ(r.forwardFraction, 0.28153903070662228);
+    EXPECT_EQ(r.localHitFraction, 0.17400419287211741);
+    EXPECT_EQ(r.diskReads, 4415u);
+    EXPECT_EQ(r.clientRetries, 109u);
+    EXPECT_EQ(r.requestsLost, 0u);
+    EXPECT_EQ(r.loadWaves, 5111u);
+    EXPECT_EQ(r.cachingWaves, 5117u);
+    EXPECT_EQ(r.membershipSends, 52u);
+    EXPECT_EQ(events, 1603669u);
+    EXPECT_EQ(now, 35543229116);
+}

@@ -135,6 +135,16 @@ scenarioConfigs()
         configs.push_back(c);
     }
     {
+        // Tree waves with the replicated directory: load and caching
+        // news relayed down source-rooted k-ary subtrees.
+        core::PressConfig c;
+        c.protocol = core::Protocol::ViaClan;
+        c.version = core::Version::V0;
+        c.nodes = 8;
+        c.dissemination = core::Dissemination::tree();
+        configs.push_back(c);
+    }
+    {
         // Sharded directory under the paper's piggyback strategy —
         // isolates the owner-lookup path from gossip.
         core::PressConfig c;
