@@ -112,8 +112,7 @@ Dissemination::label() const
       case Kind::PiggyBack:
         return "PB";
       case Kind::Broadcast:
-        return (useRmw ? "L" : "L") + std::to_string(threshold) +
-               (useRmw ? "/rmw" : "");
+        return "L" + std::to_string(threshold) + (useRmw ? "/rmw" : "");
       case Kind::None:
         return "NLB";
       case Kind::Gossip:

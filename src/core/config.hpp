@@ -107,7 +107,7 @@ ViaCheck causalityDefault();
 bool traceDefault();
 
 /** Load-information dissemination strategy (Section 3.3, extended with
- *  the scalable kinds of ROADMAP item 2 — see docs/simulation.md
+ *  the scalable gossip and tree kinds — see docs/simulation.md
  *  "Scalable dissemination"). */
 struct Dissemination {
     enum class Kind {

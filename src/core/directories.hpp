@@ -9,7 +9,7 @@
  *
  * Two cache-directory organisations exist (PressConfig::directoryMode):
  * the paper's fully replicated CacheDirectory, and ShardedCacheDirectory
- * (ROADMAP item 2), where each file's caching set lives only at its
+ * (docs/simulation.md), where each file's caching set lives only at its
  * shard owner and other nodes keep a bounded LRU hot-set of recently
  * learned entries — misses are resolved through the owner via the
  * ForwardRoute::Lookup protocol in press_server.

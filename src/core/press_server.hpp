@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/comm.hpp"
 #include "core/config.hpp"
@@ -57,8 +58,8 @@ struct RequestOptions {
     std::uint32_t sessionTag = 0;  ///< obs session-span tag (with phase)
 };
 
-/** Counters one server instance accumulates. */
-struct ServerStats {
+/** Counters one server instance accumulates, the carriers' included. */
+struct ServerStats : DisseminationStats {
     std::uint64_t requests = 0;     ///< client requests accepted
     std::uint64_t replies = 0;      ///< replies handed to the client net
     std::uint64_t localCacheHits = 0;
@@ -71,12 +72,6 @@ struct ServerStats {
     std::uint64_t cacheEvictions = 0;
     std::uint64_t largeFileServes = 0;
 
-    // Scalable dissemination (Dissemination::Kind::Gossip/Tree).
-    std::uint64_t gossipRounds = 0;     ///< gossip rounds executed
-    std::uint64_t gossipRumorSends = 0; ///< (rumor, peer) pushes
-    std::uint64_t loadWaves = 0;        ///< tree load waves originated
-    std::uint64_t cachingWaves = 0;     ///< tree caching waves originated
-
     // Sharded cache directory (DirectoryMode::Sharded).
     std::uint64_t dirLookupsOut = 0;   ///< requests routed via an owner
     std::uint64_t dirLookupsIn = 0;    ///< lookups processed as owner
@@ -85,7 +80,6 @@ struct ServerStats {
     // Fault tolerance (PressConfig::fault non-empty).
     std::uint64_t requestsRetried = 0;  ///< retries after a peer death
     std::uint64_t staleReplies = 0;     ///< post-crash/stale deliveries dropped
-    std::uint64_t membershipSends = 0;  ///< MembershipMsg rumors sent
     std::uint64_t reAnnouncedFiles = 0; ///< caching re-announcements sent
 
     // Open-loop traffic engine (PressConfig::traffic).
@@ -153,12 +147,6 @@ class PressServer
     const ShardedCacheDirectory *shardDirectory() const
     {
         return _shardDir.get();
-    }
-
-    /** Gossip/tree engine (null for the paper's dissemination kinds). */
-    const DisseminationEngine *dissemination() const
-    {
-        return _dissem.get();
     }
 
     /** Directory entries this node stores: replicated nodes track every
@@ -229,12 +217,6 @@ class PressServer
         int retries = 0;
     };
 
-    /** How loadChanged() publishes this node's load; fixed at
-     *  construction so the hot path is one branch. Off covers
-     *  non-locality-conscious distributions, Kind::None, and
-     *  single-node clusters (nothing to tell anyone). */
-    enum class LoadPath { Off, PiggyBack, Broadcast, Gossip, Tree };
-
     /** Distribution decision for a parsed request (rules 1-4): serve
      *  locally, forward to a service node, or ask the shard owner. */
     void dispatch(storage::FileId file, std::uint32_t tag);
@@ -272,43 +254,21 @@ class PressServer
 
     /** Intra-cluster message upcall. */
     void onMessage(const Incoming &incoming);
+    /** Engine upcall: apply @p news to a directory or the view; false
+     *  only for membership news the view already knew. */
+    bool learned(const News &news);
     void handleForward(int from, const ForwardMsg &msg);
     void handleFileArrival(int from, const FileMsg &msg);
 
     /** Service a request forwarded by @p home (the initial node). */
     void serviceRemote(int home, storage::FileId file, std::uint32_t tag);
 
-    // --- gossip/tree dissemination -----------------------------------
-    void sendRumor(int dst, const Rumor &rumor);
-    void handleLoadRumor(const LoadMsg &msg);
-    void handleCachingRumor(const CachingMsg &msg);
-    /** Forward an accepted rumor down this node's subtree of the k-ary
-     *  tree rooted at the rumor's origin. */
-    void relayTreeRumor(const Rumor &rumor);
-    /** Arm a gossip round `interval` from now (idempotent). */
-    void scheduleGossipRound();
-    void runGossipRound();
-    /** Tree: start a load wave now if dirty and the per-origin rate
-     *  limit allows, else arm one for when it does. */
-    void maybeEmitLoadWave();
-    void emitLoadWave(int current);
-    void emitCachingWave(storage::FileId file, bool cached);
-
     // --- fault recovery ----------------------------------------------
 
-    /**
-     * Merge a membership change into the view; on acceptance trace it,
-     * run the matching comm/directory transition and recovery, and
-     * (when @p relay) disseminate it onward per the configured kind.
-     */
-    void applyMembership(int subject, fault::NodeState state,
-                         std::uint32_t epoch, int origin, int hops,
-                         bool relay);
-
-    /** Push an accepted membership change to peers: unicast flood for
-     *  the paper's strategies, fanout samples for Gossip, source-rooted
-     *  subtrees for Tree. */
-    void disseminateMembership(const MembershipMsg &msg);
+    /** Merge membership news into the view; when it changed, trace
+     *  it, run the comm/directory transition and recovery, and return
+     *  true (the news is worth spreading). */
+    bool applyMembership(const News &news);
 
     /** @p peer is confirmed Dead/Left: repair directories, mark its
      *  load unusable, re-announce shard-handoff files, retry pending
@@ -350,8 +310,7 @@ class PressServer
      *  caching-information broadcasts. */
     void insertIntoCache(storage::FileId file);
 
-    /** Recompute the load metric, broadcasting per the dissemination
-     *  strategy when it moved enough. */
+    /** Recompute the load metric and announce it. */
     void loadChanged();
 
     /** CPU cost of replying to a client with @p bytes of data. */
@@ -370,23 +329,6 @@ class PressServer
     CacheDirectory _cacheDir;
     LoadDirectory _loadDir;
     std::unique_ptr<ShardedCacheDirectory> _shardDir;
-    std::unique_ptr<DisseminationEngine> _dissem;
-    LoadPath _loadPath = LoadPath::Off;
-    bool _roundScheduled = false;   ///< gossip round armed
-    bool _waveScheduled = false;    ///< tree load wave armed
-    sim::Tick _nextWaveAt = 0;      ///< earliest next own load wave
-    std::vector<int> _treeScratch;  ///< child-id scratch (no per-send alloc)
-
-    /** One gossip round's outgoing digests, one slot per sampled peer
-     *  (reused across rounds; slots past _digestsUsed are idle). */
-    struct PeerDigest {
-        int peer = -1;
-        LoadDigestMsg load;
-        CachingDigestMsg caching;
-    };
-    std::vector<PeerDigest> _digestScratch;
-    std::size_t _digestsUsed = 0;
-    PeerDigest &digestFor(int peer);
 
     obs::Tracer *_tracer = nullptr;
     obs::Counter *_requestsMetric = nullptr;
@@ -405,10 +347,11 @@ class PressServer
     sim::Tick _statsEpoch = 0;
     int _openConnections = 0;
     int _servicingRemote = 0;
-    int _lastBroadcastLoad = 0;
     std::uint32_t _nextTag = 1;
     std::unordered_map<std::uint32_t, Pending> _pending;
     ServerStats _stats;
+    DisseminationEngine _dissem;
+    std::vector<News> _cachingNews; ///< insertIntoCache() batch scratch
 };
 
 } // namespace press::core

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "check/via_checker.hpp"
+#include "core/dissemination.hpp"
 #include "osnode/node.hpp"
 #include "util/logging.hpp"
 
@@ -116,15 +117,10 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     // "this version does not require a receive thread" only from V3
     // on, with piggy-backing). Load bodies exist only under the
     // dissemination kinds that send them.
-    using Kind = Dissemination::Kind;
-    Kind kind = _config.dissemination.kind;
-    std::array<bool, std::variant_size_v<Body>> sent;
-    sent.fill(true);
-    sent[BodyIndex<LoadMsg>] = kind == Kind::Broadcast || kind == Kind::Tree;
-    sent[BodyIndex<LoadDigestMsg>] = kind == Kind::Gossip;
-    sent[BodyIndex<CachingDigestMsg>] = kind == Kind::Gossip;
-    for (std::size_t i = 0; i < sent.size(); ++i)
-        _recvThreadNeeded |= sent[i] && _pathOf[i] == Path::Regular;
+    for (std::size_t i = 0; i < _pathOf.size(); ++i)
+        _recvThreadNeeded |=
+            DisseminationEngine::sendsBody(_config.dissemination.kind, i) &&
+            _pathOf[i] == Path::Regular;
 
     int nodes = _config.nodes;
 
