@@ -296,3 +296,76 @@ TEST(GoldenStats, TreeEightNodesCrashRestart)
     EXPECT_EQ(events, 1603669u);
     EXPECT_EQ(now, 35543229116);
 }
+
+// The sharded directory under churn. A crash walks the dead node's
+// shards to the next alive id and its restart hands them back (G4); a
+// graceful leave and join do the same through the drain window (PB).
+// Both re-announce resident files to their new owners, and the owner
+// lookups and home bounces are pinned along with the usual fields.
+
+namespace {
+
+core::PressConfig
+shardedChurnConfig(core::Dissemination dissemination, const char *plan)
+{
+    auto config = churnConfig(dissemination);
+    config.directoryMode = core::DirectoryMode::Sharded;
+    config.fault = fault::FaultPlan::parse(plan);
+    return config;
+}
+
+} // namespace
+
+TEST(GoldenStats, ShardedGossipEightNodesCrashRestart)
+{
+    auto trace = goldenTrace();
+    auto config = shardedChurnConfig(core::Dissemination::gossip(4),
+                                     "crash:3@16s;restart:3@22s");
+    std::uint64_t events = 0;
+    sim::Tick now = 0;
+    auto r = runGolden(config, trace, &events, &now, 8000);
+
+    EXPECT_EQ(r.throughput, 387.0187238499588);
+    EXPECT_EQ(r.avgLatencyMs, 1446.8214339222504);
+    EXPECT_EQ(r.p99LatencyMs, 8123.0903206956518);
+    EXPECT_EQ(r.requestsMeasured, 8702u);
+    EXPECT_EQ(r.forwardFraction, 0.69325000000000003);
+    EXPECT_EQ(r.localHitFraction, 0.23150000000000001);
+    EXPECT_EQ(r.diskReads, 5416u);
+    EXPECT_EQ(r.clientRetries, 113u);
+    EXPECT_EQ(r.requestsLost, 0u);
+    EXPECT_EQ(r.dirLookups, 5149u);
+    EXPECT_EQ(r.dirHomeReturns, 4813u);
+    EXPECT_EQ(r.reAnnouncedFiles, 947u);
+    EXPECT_EQ(r.dirEntriesTotal, 8669u);
+    EXPECT_EQ(r.dirEntriesMaxPerNode, 1118u);
+    EXPECT_EQ(events, 1039798u);
+    EXPECT_EQ(now, 39158534746);
+}
+
+TEST(GoldenStats, ShardedPiggyBackEightNodesLeaveJoin)
+{
+    auto trace = goldenTrace();
+    auto config = shardedChurnConfig(core::Dissemination::piggyBack(),
+                                     "leave:5@16s;join:5@24s");
+    std::uint64_t events = 0;
+    sim::Tick now = 0;
+    auto r = runGolden(config, trace, &events, &now, 8000);
+
+    EXPECT_EQ(r.throughput, 351.09189529008364);
+    EXPECT_EQ(r.avgLatencyMs, 1554.1891510303756);
+    EXPECT_EQ(r.p99LatencyMs, 8168.2065370956079);
+    EXPECT_EQ(r.requestsMeasured, 8703u);
+    EXPECT_EQ(r.forwardFraction, 0.69862500000000005);
+    EXPECT_EQ(r.localHitFraction, 0.22575000000000001);
+    EXPECT_EQ(r.diskReads, 5459u);
+    EXPECT_EQ(r.clientRetries, 100u);
+    EXPECT_EQ(r.requestsLost, 0u);
+    EXPECT_EQ(r.dirLookups, 5176u);
+    EXPECT_EQ(r.dirHomeReturns, 4854u);
+    EXPECT_EQ(r.reAnnouncedFiles, 921u);
+    EXPECT_EQ(r.dirEntriesTotal, 8637u);
+    EXPECT_EQ(r.dirEntriesMaxPerNode, 1126u);
+    EXPECT_EQ(events, 508611u);
+    EXPECT_EQ(now, 41369758249);
+}
