@@ -146,11 +146,10 @@ main(int argc, char **argv)
     std::uint64_t owner_bits = 0, cached_pairs = 0;
     bool mirror = true;
     for (int i = 0; i < nodes; ++i) {
-        const auto *dir = shard.server(i).shardDirectory();
+        const auto &dir = shard.server(i).cacheDirectory();
         for (storage::FileId f = 0; f < files; ++f) {
             NodeMask m;
-            if (dir->lookup(f, m) ==
-                ShardedCacheDirectory::Answer::Owner)
+            if (dir.lookup(f, m) == CacheDirectory::Answer::Owner)
                 owner_bits += static_cast<std::uint64_t>(m.count());
         }
     }
@@ -159,13 +158,10 @@ main(int argc, char **argv)
             if (shard.server(i).cache().contains(f)) {
                 ++cached_pairs;
                 NodeMask m;
-                const auto *owner =
-                    shard.server(shard.server(i)
-                                     .shardDirectory()
-                                     ->ownerOf(f))
-                        .shardDirectory();
-                if (owner->lookup(f, m) !=
-                        ShardedCacheDirectory::Answer::Owner ||
+                const auto &owner =
+                    shard.server(shard.server(i).cacheDirectory().ownerOf(f))
+                        .cacheDirectory();
+                if (owner.lookup(f, m) != CacheDirectory::Answer::Owner ||
                     !m.test(i))
                     mirror = false;
             }

@@ -70,75 +70,41 @@ randomIn(const NodeMask &mask, util::Rng &rng, int nodes, int exclude)
     return -1;
 }
 
-CacheDirectory::CacheDirectory(int nodes) : _nodes(nodes)
+namespace {
+
+/** Shard count for @p config: 0 (replicated) unless the sharded
+ *  directory is in use. */
+int
+shardsFor(const PressConfig &config)
+{
+    if (config.distribution != Distribution::LocalityConscious ||
+        config.directoryMode != DirectoryMode::Sharded)
+        return 0;
+    PRESS_ASSERT(config.dirShards >= 1, "need at least one shard");
+    return config.dirShards;
+}
+
+} // namespace
+
+CacheDirectory::CacheDirectory(const PressConfig &config, int self)
+    : CacheDirectory(config.nodes, self, shardsFor(config),
+                     config.dirHotSet)
+{
+}
+
+CacheDirectory::CacheDirectory(int nodes, int self, int shards,
+                               std::uint32_t hot_cap)
+    : _nodes(nodes), _self(self), _shards(shards), _hotCap(hot_cap)
 {
     PRESS_ASSERT(nodes > 0 && nodes <= MaxNodes,
                  "CacheDirectory supports 1..", MaxNodes, " nodes, got ",
                  nodes);
-}
-
-void
-CacheDirectory::update(int node, storage::FileId file, bool cached)
-{
-    PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
-    if (cached) {
-        _masks[file].set(node);
-    } else {
-        auto it = _masks.find(file);
-        if (it == _masks.end())
-            return;
-        it->second.clear(node);
-        if (it->second.none())
-            _masks.erase(it);
-    }
-}
-
-bool
-CacheDirectory::caches(int node, storage::FileId file) const
-{
-    PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
-    auto it = _masks.find(file);
-    return it != _masks.end() && it->second.test(node);
-}
-
-NodeMask
-CacheDirectory::mask(storage::FileId file) const
-{
-    auto it = _masks.find(file);
-    return it == _masks.end() ? NodeMask{} : it->second;
-}
-
-void
-CacheDirectory::dropNode(int node)
-{
-    PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
-    for (auto it = _masks.begin(); it != _masks.end();) {
-        it->second.clear(node);
-        if (it->second.none())
-            it = _masks.erase(it);
-        else
-            ++it;
-    }
-}
-
-// ---------------------------------------------------------------------
-// ShardedCacheDirectory
-// ---------------------------------------------------------------------
-
-ShardedCacheDirectory::ShardedCacheDirectory(int nodes, int self,
-                                             int shards,
-                                             std::uint32_t hot_cap)
-    : _nodes(nodes), _self(self), _shards(shards), _hotCap(hot_cap)
-{
-    PRESS_ASSERT(nodes > 0 && nodes <= MaxNodes,
-                 "ShardedCacheDirectory supports 1..", MaxNodes,
-                 " nodes, got ", nodes);
     PRESS_ASSERT(self >= 0 && self < nodes, "bad self id");
-    PRESS_ASSERT(shards >= 1, "need at least one shard");
+    PRESS_ASSERT(shards >= 0, "negative shard count");
 }
 
 int
-ShardedCacheDirectory::shardOf(storage::FileId file, int shards)
+CacheDirectory::shardOf(storage::FileId file, int shards)
 {
     // The same deterministic mix the gossip sampler uses: stable
     // across runs, platforms and thread counts.
@@ -148,10 +114,16 @@ ShardedCacheDirectory::shardOf(storage::FileId file, int shards)
 }
 
 int
-ShardedCacheDirectory::ownerOf(storage::FileId file) const
+CacheDirectory::ownerOf(storage::FileId file) const
 {
-    if (_faultActive)
-        return ownerIn(file, _alive);
+    if (!sharded())
+        return _self;
+    return _faultActive ? ownerIn(file, _alive) : primaryOwner(file);
+}
+
+int
+CacheDirectory::primaryOwner(storage::FileId file) const
+{
     auto s = static_cast<std::uint64_t>(shardOf(file, _shards));
     return static_cast<int>(s * static_cast<std::uint64_t>(_nodes) /
                             static_cast<std::uint64_t>(_shards)) %
@@ -159,14 +131,9 @@ ShardedCacheDirectory::ownerOf(storage::FileId file) const
 }
 
 int
-ShardedCacheDirectory::ownerIn(storage::FileId file,
-                               const NodeMask &alive) const
+CacheDirectory::ownerIn(storage::FileId file, const NodeMask &alive) const
 {
-    auto s = static_cast<std::uint64_t>(shardOf(file, _shards));
-    int primary = static_cast<int>(
-                      s * static_cast<std::uint64_t>(_nodes) /
-                      static_cast<std::uint64_t>(_shards)) %
-                  _nodes;
+    int primary = primaryOwner(file);
     if (alive.test(primary))
         return primary;
     // Walk to the next alive id: pure function of (file, alive set),
@@ -179,8 +146,21 @@ ShardedCacheDirectory::ownerIn(storage::FileId file,
     return primary; // never-all-down is enforced by FaultPlan::validate
 }
 
+NodeMask
+CacheDirectory::gainedOwners(storage::FileId file, const NodeMask &before,
+                             const NodeMask &after) const
+{
+    if (!sharded())
+        return after.without(before);
+    NodeMask gained;
+    int now_owner = ownerIn(file, after);
+    if (ownerIn(file, before) != now_owner)
+        gained.set(now_owner);
+    return gained;
+}
+
 void
-ShardedCacheDirectory::setAlive(const NodeMask &alive)
+CacheDirectory::setAlive(const NodeMask &alive)
 {
     PRESS_ASSERT(alive.any(), "alive set cannot be empty");
     _faultActive = true;
@@ -196,7 +176,7 @@ ShardedCacheDirectory::setAlive(const NodeMask &alive)
 }
 
 void
-ShardedCacheDirectory::dropNode(int node)
+CacheDirectory::dropNode(int node)
 {
     PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
     for (auto it = _owned.begin(); it != _owned.end();) {
@@ -218,7 +198,7 @@ ShardedCacheDirectory::dropNode(int node)
 }
 
 void
-ShardedCacheDirectory::update(int node, storage::FileId file, bool cached)
+CacheDirectory::update(int node, storage::FileId file, bool cached)
 {
     PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
     PRESS_ASSERT(owns(file), "caching update for foreign shard ",
@@ -235,8 +215,8 @@ ShardedCacheDirectory::update(int node, storage::FileId file, bool cached)
     }
 }
 
-ShardedCacheDirectory::Answer
-ShardedCacheDirectory::lookup(storage::FileId file, NodeMask &out) const
+CacheDirectory::Answer
+CacheDirectory::lookup(storage::FileId file, NodeMask &out) const
 {
     if (owns(file)) {
         auto it = _owned.find(file);
@@ -253,7 +233,7 @@ ShardedCacheDirectory::lookup(storage::FileId file, NodeMask &out) const
 }
 
 void
-ShardedCacheDirectory::touchHot(storage::FileId file, HotEntry &e)
+CacheDirectory::touchHot(storage::FileId file, HotEntry &e)
 {
     _hotLru.erase(e.lru);
     _hotLru.push_front(file);
@@ -261,7 +241,7 @@ ShardedCacheDirectory::touchHot(storage::FileId file, HotEntry &e)
 }
 
 void
-ShardedCacheDirectory::evictHotOverflow()
+CacheDirectory::evictHotOverflow()
 {
     while (_hot.size() > _hotCap) {
         storage::FileId victim = _hotLru.back();
@@ -271,9 +251,11 @@ ShardedCacheDirectory::evictHotOverflow()
 }
 
 void
-ShardedCacheDirectory::hotLearn(storage::FileId file, int node, bool cached)
+CacheDirectory::hotLearn(storage::FileId file, int node, bool cached)
 {
     PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
+    if (!sharded())
+        return;
     if (owns(file)) {
         update(node, file, cached);
         return;

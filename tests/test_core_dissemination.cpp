@@ -480,14 +480,13 @@ TEST(Dissemination, ShardedMatchesReplicatedServiceAndShrinksDirectory)
         trace.files.count());
     std::uint64_t cachedPairs = 0, ownerBits = 0;
     for (int i = 0; i < config.nodes; ++i) {
-        const auto *dir = shard.server(i).shardDirectory();
-        ASSERT_NE(dir, nullptr);
+        const auto &dir = shard.server(i).cacheDirectory();
+        ASSERT_TRUE(dir.sharded());
         ownerBits += [&] {
             std::uint64_t bits = 0;
             for (press::storage::FileId f = 0; f < files; ++f) {
                 core::NodeMask m;
-                if (dir->lookup(f, m) ==
-                    core::ShardedCacheDirectory::Answer::Owner)
+                if (dir.lookup(f, m) == core::CacheDirectory::Answer::Owner)
                     bits += static_cast<std::uint64_t>(m.count());
             }
             return bits;
@@ -497,14 +496,12 @@ TEST(Dissemination, ShardedMatchesReplicatedServiceAndShrinksDirectory)
         for (press::storage::FileId f = 0; f < files; ++f)
             if (shard.server(i).cache().contains(f)) {
                 ++cachedPairs;
-                const auto *owner =
-                    shard.server(shard.server(i)
-                                     .shardDirectory()
-                                     ->ownerOf(f))
-                        .shardDirectory();
+                const auto &owner =
+                    shard.server(shard.server(i).cacheDirectory().ownerOf(f))
+                        .cacheDirectory();
                 core::NodeMask m;
-                ASSERT_EQ(owner->lookup(f, m),
-                          core::ShardedCacheDirectory::Answer::Owner);
+                ASSERT_EQ(owner.lookup(f, m),
+                          core::CacheDirectory::Answer::Owner);
                 EXPECT_TRUE(m.test(i))
                     << "owner lost node " << i << " file " << f;
             }

@@ -311,7 +311,7 @@ struct ShardRig : ServerRig {
     fileOwned(bool owned) const
     {
         FileId f = 0;
-        while (server->shardDirectory()->owns(f) != owned)
+        while (server->cacheDirectory().owns(f) != owned)
             ++f;
         return f;
     }
@@ -345,7 +345,7 @@ TEST(ServerPolicySharded, MissOutsideShardAsksOwner)
     rig.request(f);
     rig.sim.run();
     const auto *fwd = rig.onlySentTo<ForwardMsg>(
-        rig.server->shardDirectory()->ownerOf(f));
+        rig.server->cacheDirectory().ownerOf(f));
     ASSERT_TRUE(fwd);
     EXPECT_EQ(fwd->route, ForwardRoute::Lookup);
     EXPECT_EQ(fwd->file, f);
