@@ -136,13 +136,6 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     _recvCq = std::make_unique<via::CompletionQueue>(sim, recv_capacity);
     _sendCq = std::make_unique<via::CompletionQueue>(sim);
 
-    if (_config.viaCheck != ViaCheck::Off && !checker) {
-        _ownedChecker = std::make_unique<check::ViaChecker>(
-            sim, _config.viaCheck == ViaCheck::Record
-                     ? check::CheckMode::Record
-                     : check::CheckMode::Abort);
-        checker = _ownedChecker.get();
-    }
     _checker = checker;
     if (_checker) {
         _checker->attachNic(*_nic);
@@ -284,15 +277,8 @@ ViaComm::linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms)
             wire(*b._peers[i], *a._peers[j]);
 
             // Pre-post receive descriptors for regular traffic.
-            int prepost = 0;
-            if (comms[i]->_recvThreadNeeded)
-                prepost = comms[i]->_config.controlWindow + FlowReserve;
-            for (int k = 0; k < prepost; ++k) {
-                va->postRecv(via::makeRecv(a._peers[j]->recvBufs.base,
-                                           a._maxTransfer + 64));
-                vb->postRecv(via::makeRecv(b._peers[i]->recvBufs.base,
-                                           b._maxTransfer + 64));
-            }
+            a.repostRecvs(*a._peers[j]);
+            b.repostRecvs(*b._peers[i]);
         }
     }
     for (auto &c : comms)
@@ -737,15 +723,13 @@ ViaComm::repostRecvs(Peer &peer)
     for (int k = 0; k < prepost; ++k) {
         bool ok = peer.vi->postRecv(
             via::makeRecv(peer.recvBufs.base, _maxTransfer + 64));
-        PRESS_ASSERT(ok, "recv queue overflow on reconnect");
+        PRESS_ASSERT(ok, "recv queue overflow");
     }
 }
 
 void
-ViaComm::peerDown(int peer_id)
+ViaComm::breakPeer(Peer *p)
 {
-    ClusterComm::peerDown(peer_id);
-    Peer *p = _peers.at(peer_id).get();
     if (!p || !p->vi || p->vi->broken())
         return;
     // Tear down this end only: posted receive buffers drain with
@@ -756,10 +740,8 @@ ViaComm::peerDown(int peer_id)
 }
 
 void
-ViaComm::peerUp(int peer_id)
+ViaComm::revivePeer(Peer *p)
 {
-    ClusterComm::peerUp(peer_id);
-    Peer *p = _peers.at(peer_id).get();
     if (!p || !p->vi || !p->vi->broken())
         return;
     p->vi->revive();
@@ -768,28 +750,33 @@ ViaComm::peerUp(int peer_id)
 }
 
 void
+ViaComm::peerDown(int peer_id)
+{
+    ClusterComm::peerDown(peer_id);
+    breakPeer(_peers.at(peer_id).get());
+}
+
+void
+ViaComm::peerUp(int peer_id)
+{
+    ClusterComm::peerUp(peer_id);
+    revivePeer(_peers.at(peer_id).get());
+}
+
+void
 ViaComm::selfDown()
 {
     ClusterComm::selfDown();
-    for (auto &p : _peers) {
-        if (!p || !p->vi || p->vi->broken())
-            continue;
-        p->vi->breakLocal();
-        resetPeerFlow(*p);
-    }
+    for (auto &p : _peers)
+        breakPeer(p.get());
 }
 
 void
 ViaComm::selfUp()
 {
     ClusterComm::selfUp();
-    for (auto &p : _peers) {
-        if (!p || !p->vi || !p->vi->broken())
-            continue;
-        p->vi->revive();
-        resetPeerFlow(*p);
-        repostRecvs(*p);
-    }
+    for (auto &p : _peers)
+        revivePeer(p.get());
 }
 
 } // namespace press::core

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/via_checker.hpp"
 #include "core/tcp_comm.hpp"
 #include "core/via_comm.hpp"
 #include "osnode/node.hpp"
@@ -27,6 +28,7 @@ struct Rig {
     sim::Simulator sim;
     std::unique_ptr<net::Fabric> fabric;
     std::vector<std::unique_ptr<osnode::Node>> nodes;
+    std::unique_ptr<check::ViaChecker> checker; ///< one, like the cluster
     std::vector<std::unique_ptr<ClusterComm>> comms;
     std::vector<std::vector<Incoming>> received;
 
@@ -48,10 +50,16 @@ struct Rig {
             nodes.push_back(std::make_unique<osnode::Node>(sim, i));
 
         if (proto == Protocol::ViaClan) {
+            if (config.viaCheck != ViaCheck::Off)
+                checker = std::make_unique<check::ViaChecker>(
+                    sim, config.viaCheck == ViaCheck::Record
+                             ? check::CheckMode::Record
+                             : check::CheckMode::Abort);
             std::vector<std::unique_ptr<ViaComm>> vias;
             for (int i = 0; i < n; ++i)
                 vias.push_back(std::make_unique<ViaComm>(
-                    sim, i, config, nodes[i]->cpu(), *fabric));
+                    sim, i, config, nodes[i]->cpu(), *fabric,
+                    checker.get()));
             ViaComm::linkMesh(vias);
             for (auto &v : vias)
                 comms.push_back(std::move(v));
