@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "core/calibration.hpp"
 #include "model/press_model.hpp"
 #include "model/zipf_math.hpp"
 
@@ -268,4 +269,25 @@ TEST(ModelServerKinds, PressWithinReachOfFrontEnd)
         press_m.predictFromPopulation(96, loc.files).throughput /
         fe.predictFromPopulation(96, loc.files).throughput;
     EXPECT_GT(ratio96, 0.80);
+}
+
+// Table 5 lives twice: as the model's parameters and as the
+// simulator's calibration. They must agree, so editing one table
+// without the other fails here.
+TEST(ModelCalibration, Table5ConstantsMatchTheSimulator)
+{
+    const ModelParams p{};
+    const auto c = press::core::Calibration::defaults();
+    // Fixed and per-byte parts of 1/mu_m: 270 us and 80 ns/B, the
+    // latter being 12.5 MB/s.
+    EXPECT_EQ(std::llround(p.replyFixed * 1e9), c.service.replyFixed);
+    EXPECT_EQ(1e9 / p.replyBandwidth, c.service.replyPerByte);
+    // Wire sizes: client GET, forward message, RMW file metadata.
+    EXPECT_EQ(p.requestBytes, static_cast<double>(c.sizes.httpRequest));
+    EXPECT_EQ(p.forwardBytes, static_cast<double>(c.sizes.forward));
+    EXPECT_EQ(p.comm.fileMetaBytes, static_cast<double>(c.sizes.fileMeta));
+    // 1/mu_p: the model keeps 1/5882 s (170.01 us); the calibration
+    // rounds it to a whole 170 us, so they agree to the microsecond.
+    EXPECT_EQ(std::llround(p.parseCost * 1e6),
+              c.service.parse / press::util::US);
 }
