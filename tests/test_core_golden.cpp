@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/cluster.hpp"
 #include "fault/fault_plan.hpp"
 #include "traffic/traffic_model.hpp"
@@ -368,4 +370,112 @@ TEST(GoldenStats, ShardedPiggyBackEightNodesLeaveJoin)
     EXPECT_EQ(r.dirEntriesMaxPerNode, 1126u);
     EXPECT_EQ(events, 508611u);
     EXPECT_EQ(now, 41369758249);
+}
+
+
+// Every path the comm layer can give a message, one row each: the
+// Table-3 versions between the V0 and V5 goldens above (V1: the
+// credit word; V2: the forward/caching rings; V3: the two-message RMW
+// file transfer; V4: zero-copy receive), V3 with RMW load broadcasts
+// (the load word), and the TCP/cLAN stack. Per-kind sender traffic is
+// pinned with the usual fields.
+
+namespace {
+
+struct PathGolden {
+    const char *name;
+    core::Protocol protocol;
+    core::Version version;
+    core::Dissemination dissemination;
+    double throughput;
+    double avgLatencyMs;
+    double p99LatencyMs;
+    std::uint64_t requestsMeasured;
+    double forwardFraction;
+    double localHitFraction;
+    std::uint64_t diskReads;
+    std::uint64_t events;
+    sim::Tick now;
+    /** {msgs, bytes} per MsgKind: Load, Flow, Forward, Caching, File,
+     *  Membership. */
+    std::array<std::array<std::uint64_t, 2>,
+               static_cast<int>(core::MsgKind::NumKinds)>
+        kinds;
+};
+
+} // namespace
+
+TEST(GoldenStats, EveryCommPathEightNodes)
+{
+    using core::Dissemination;
+    using core::Protocol;
+    using core::Version;
+    const PathGolden rows[] = {
+        {"V1", Protocol::ViaClan, Version::V1, Dissemination::piggyBack(),
+         794.81030572178975, 829.26074357530013, 4127.9778987993777,
+         20700u, 0.29049999999999998, 0.29094999999999999, 8371u,
+         1872145u, 61087871999,
+         {{{0u, 0u}, {18771u, 75084u}, {5810u, 331170u},
+           {63469u, 3998547u}, {5810u, 54521243u}, {0u, 0u}}}},
+        {"V2", Protocol::ViaClan, Version::V2, Dissemination::piggyBack(),
+         776.55135945525637, 853.03527859930011, 4137.0640865882351,
+         20703u, 0.28255000000000002, 0.28655000000000003, 8618u,
+         1418188u, 61554632289,
+         {{{0u, 0u}, {19114u, 76456u}, {5651u, 322107u},
+           {65219u, 4108797u}, {5651u, 52229837u}, {0u, 0u}}}},
+        {"V3", Protocol::ViaClan, Version::V3, Dissemination::piggyBack(),
+         786.31192306430307, 832.4824305709501, 4134.0468278096669,
+         20702u, 0.29630000000000001, 0.28339999999999999, 8406u,
+         1441537u, 61145761138,
+         {{{0u, 0u}, {23338u, 93352u}, {5926u, 337782u},
+           {63721u, 4014423u}, {11852u, 56260787u}, {0u, 0u}}}},
+        {"V4", Protocol::ViaClan, Version::V4, Dissemination::piggyBack(),
+         792.70693862643316, 831.96497202179989, 4130.8493251937334,
+         20703u, 0.29125000000000001, 0.28825000000000001, 8411u,
+         1440080u, 60977749799,
+         {{{0u, 0u}, {23224u, 92896u}, {5825u, 332025u},
+           {63756u, 4016628u}, {11650u, 55949904u}, {0u, 0u}}}},
+        {"V3-load-word", Protocol::ViaClan, Version::V3,
+         Dissemination::broadcast(1, /*rmw=*/true), 779.79046241105823,
+         849.12540171914998, 4130.8493251937334, 20703u,
+         0.28234999999999999, 0.28854999999999997, 8582u, 4895284u,
+         61291786332,
+         {{{363979u, 5823664u}, {23285u, 93140u}, {5647u, 299291u},
+           {64960u, 3832640u}, {11294u, 54122032u}, {0u, 0u}}}},
+        {"TCP/cLAN", Protocol::TcpClan, Version::V0,
+         Dissemination::piggyBack(), 785.93848714250521,
+         842.7994357971005, 4124.7347436416967, 20703u,
+         0.28765000000000002, 0.28605000000000003, 8527u, 1726406u,
+         61017845980,
+         {{{0u, 0u}, {0u, 0u}, {5753u, 327921u}, {64568u, 4067784u},
+           {5753u, 54696870u}, {0u, 0u}}}},
+    };
+
+    auto trace = goldenTrace();
+    for (const PathGolden &g : rows) {
+        SCOPED_TRACE(g.name);
+        core::PressConfig config;
+        config.protocol = g.protocol;
+        config.version = g.version;
+        config.dissemination = g.dissemination;
+        config.nodes = 8;
+        std::uint64_t events = 0;
+        sim::Tick now = 0;
+        auto r = runGolden(config, trace, &events, &now);
+
+        EXPECT_EQ(r.throughput, g.throughput);
+        EXPECT_EQ(r.avgLatencyMs, g.avgLatencyMs);
+        EXPECT_EQ(r.p99LatencyMs, g.p99LatencyMs);
+        EXPECT_EQ(r.requestsMeasured, g.requestsMeasured);
+        EXPECT_EQ(r.forwardFraction, g.forwardFraction);
+        EXPECT_EQ(r.localHitFraction, g.localHitFraction);
+        EXPECT_EQ(r.diskReads, g.diskReads);
+        EXPECT_EQ(events, g.events);
+        EXPECT_EQ(now, g.now);
+        for (int k = 0; k < static_cast<int>(core::MsgKind::NumKinds); ++k) {
+            SCOPED_TRACE(core::msgKindName(static_cast<core::MsgKind>(k)));
+            EXPECT_EQ(r.comm.byKind[k].msgs, g.kinds[k][0]);
+            EXPECT_EQ(r.comm.byKind[k].bytes, g.kinds[k][1]);
+        }
+    }
 }
