@@ -5,8 +5,6 @@
 
 #include "check/causality_checker.hpp"
 #include "check/via_checker.hpp"
-#include "core/tcp_comm.hpp"
-#include "core/via_comm.hpp"
 #include "http/message.hpp"
 #include "http/mime.hpp"
 #include "http/url.hpp"
@@ -163,17 +161,10 @@ PressCluster::PressCluster(const PressConfig &config,
     // ordering (check::TickRaceHunter).
     _sim.setTieBreak(_config.tieBreak, _config.tieBreakSeed);
 
-    // Networks. The external network is always switched Fast Ethernet
-    // (clients talk TCP/FE in every paper configuration); ports 0..N-1
-    // are the servers, ports N..2N-1 the client side of each switch
-    // path.
-    net::FabricConfig internal_cfg =
-        _config.protocol == Protocol::TcpFastEthernet
-            ? net::FabricConfig::fastEthernet()
-            : net::FabricConfig::clan();
-    _internal = std::make_unique<net::Fabric>(_sim, internal_cfg,
-                                              _config.nodes);
-    // One extra external port hosts the LARD front-end when configured.
+    // The external network is always switched Fast Ethernet (clients
+    // talk TCP/FE in every paper configuration); ports 0..N-1 are the
+    // servers, ports N..2N-1 the client side of each switch path. One
+    // extra external port hosts the LARD front-end when configured.
     _external = std::make_unique<net::Fabric>(
         _sim, net::FabricConfig::fastEthernet(), frontEndPort() + 1);
 
@@ -206,44 +197,12 @@ PressCluster::PressCluster(const PressConfig &config,
     }
     _sim.setCurrentDomain(sim::NoDomain);
 
-    // Intra-cluster communication.
-    if (_config.protocol == Protocol::ViaClan) {
-        // One cluster-wide checker watches every NIC, so cross-node
-        // invariants (remote-write targets) and the report share one
-        // place.
-        if (_config.viaCheck != ViaCheck::Off)
-            _viaChecker = std::make_unique<check::ViaChecker>(
-                _sim, _config.viaCheck == ViaCheck::Record
-                          ? check::CheckMode::Record
-                          : check::CheckMode::Abort);
-        std::vector<std::unique_ptr<ViaComm>> vias;
-        for (int i = 0; i < _config.nodes; ++i) {
-            _sim.setCurrentDomain(i);
-            vias.push_back(std::make_unique<ViaComm>(
-                _sim, i, _config, _nodes[i]->cpu(), *_internal,
-                _viaChecker.get()));
-        }
-        _sim.setCurrentDomain(sim::NoDomain);
-        ViaComm::linkMesh(vias);
-        for (auto &v : vias)
-            _comms.push_back(std::move(v));
-    } else {
-        tcpnet::TcpCosts stack_costs =
-            _config.protocol == Protocol::TcpClan
-                ? tcpnet::TcpCosts::clan()
-                : tcpnet::TcpCosts::defaults();
-        std::vector<std::unique_ptr<TcpComm>> tcps;
-        for (int i = 0; i < _config.nodes; ++i) {
-            _sim.setCurrentDomain(i);
-            tcps.push_back(std::make_unique<TcpComm>(
-                _sim, i, _config.nodes, _nodes[i]->cpu(), *_internal,
-                _config.calibration, stack_costs));
-        }
-        _sim.setCurrentDomain(sim::NoDomain);
-        TcpComm::connectMesh(tcps);
-        for (auto &t : tcps)
-            _comms.push_back(std::move(t));
-    }
+    // Intra-cluster communication: the internal network, the VIA
+    // checker and one linked endpoint per node.
+    CommMesh mesh = buildCommMesh(_sim, _config, _nodes);
+    _internal = std::move(mesh.fabric);
+    _viaChecker = std::move(mesh.checker);
+    _comms = std::move(mesh.comms);
 
     // Servers.
     for (int i = 0; i < _config.nodes; ++i) {
@@ -590,8 +549,8 @@ PressCluster::lardPick(storage::FileId file)
     for (int b : set)
         if (_feLoad[b] < _feLoad[best])
             best = b;
-    if (_feLoad[best] > _config.lardHigh &&
-        _feLoad[cluster_least] < _config.lardLow) {
+    if (_feLoad[best] > LardHigh &&
+        _feLoad[cluster_least] < LardLow) {
         set.push_back(cluster_least);
         best = cluster_least;
     }
@@ -601,7 +560,7 @@ PressCluster::lardPick(storage::FileId file)
 void
 PressCluster::frontEndRoute(std::uint32_t id, std::uint32_t gen)
 {
-    _feCpu->submit(_config.lardRouteCost, 0, [this, id, gen]() {
+    _feCpu->submit(LardRouteCost, 0, [this, id, gen]() {
         ClientRequest &req = _requests[id];
         int backend = lardPick(req.file);
         ++_feLoad[backend];

@@ -1,5 +1,11 @@
 #include "comm.hpp"
 
+#include "check/via_checker.hpp"
+#include "core/config.hpp"
+#include "core/tcp_comm.hpp"
+#include "core/via_comm.hpp"
+#include "net/fabric.hpp"
+#include "osnode/node.hpp"
 #include "util/logging.hpp"
 
 namespace press::core {
@@ -76,6 +82,46 @@ CommStats::reset()
 {
     for (auto &k : byKind)
         k = KindStats{};
+}
+
+CommMesh
+buildCommMesh(sim::Simulator &sim, const PressConfig &config,
+              const std::vector<std::unique_ptr<osnode::Node>> &nodes)
+{
+    int n = config.nodes;
+    PRESS_ASSERT(static_cast<int>(nodes.size()) == n,
+                 "one node per endpoint");
+    bool via = config.protocol == Protocol::ViaClan;
+    bool fe = config.protocol == Protocol::TcpFastEthernet;
+    CommMesh mesh;
+    mesh.fabric = std::make_unique<net::Fabric>(
+        sim,
+        fe ? net::FabricConfig::fastEthernet() : net::FabricConfig::clan(),
+        n);
+    if (via && config.viaCheck != ViaCheck::Off)
+        mesh.checker = std::make_unique<check::ViaChecker>(
+            sim, config.viaCheck == ViaCheck::Record
+                     ? check::CheckMode::Record
+                     : check::CheckMode::Abort);
+    tcpnet::TcpCosts costs =
+        fe ? tcpnet::TcpCosts::defaults() : tcpnet::TcpCosts::clan();
+    for (int i = 0; i < n; ++i) {
+        sim.setCurrentDomain(i);
+        if (via)
+            mesh.comms.push_back(std::make_unique<ViaComm>(
+                sim, i, config, nodes[i]->cpu(), *mesh.fabric,
+                mesh.checker.get()));
+        else
+            mesh.comms.push_back(std::make_unique<TcpComm>(
+                sim, i, n, nodes[i]->cpu(), *mesh.fabric,
+                config.calibration, costs));
+    }
+    sim.setCurrentDomain(sim::NoDomain);
+    if (via)
+        ViaComm::linkMesh(mesh.comms);
+    else
+        TcpComm::linkMesh(mesh.comms);
+    return mesh;
 }
 
 } // namespace press::core

@@ -16,14 +16,28 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/messages.hpp"
 #include "core/wire.hpp"
 #include "obs/tracer.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
+namespace press::check {
+class ViaChecker;
+}
+namespace press::net {
+class Fabric;
+}
+namespace press::osnode {
+class Node;
+}
+
 namespace press::core {
+
+struct PressConfig;
 
 /** Per-message-kind traffic counters (Table 2 / Table 4 rows). */
 struct KindStats {
@@ -277,6 +291,27 @@ class ClusterComm
     std::uint64_t _droppedSends = 0;
     std::uint64_t _rxErrors = 0;
 };
+
+/** A cluster's intra-cluster substrate, as buildCommMesh() wires it. */
+struct CommMesh {
+    std::unique_ptr<net::Fabric> fabric; ///< the internal network
+    /** One checker watching every VIA NIC, CQ and credit gate, so
+     *  cross-node rules (remote-write targets) and the report share
+     *  one place; null over TCP or with PressConfig::viaCheck off. */
+    std::unique_ptr<check::ViaChecker> checker;
+    std::vector<std::unique_ptr<ClusterComm>> comms; ///< by node id
+};
+
+/**
+ * Build @p config's internal network and one endpoint per node, linked
+ * into a full mesh: VIA endpoints over cLAN for VIA/cLAN, otherwise
+ * the kernel TCP stack with the costs of its network (Fast Ethernet for
+ * TCP/FE, cLAN for TCP/cLAN). Node i's endpoint charges
+ * @p nodes[i]'s CPU and is constructed under node i's scheduling
+ * domain; the current domain is NoDomain on return.
+ */
+CommMesh buildCommMesh(sim::Simulator &sim, const PressConfig &config,
+                       const std::vector<std::unique_ptr<osnode::Node>> &nodes);
 
 } // namespace press::core
 

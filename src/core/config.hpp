@@ -131,13 +131,6 @@ struct Dissemination {
      *  announce at most once per interval. */
     sim::Tick interval = 20 * util::MS;
 
-    /** Gossip rounds each holder re-pushes a fresh rumor. Every due
-     *  rumor goes out every round — packed into at most one Load plus
-     *  one Caching digest per sampled peer, so the wire carries at
-     *  most 2 * fanout messages per node per interval however many
-     *  rumors are pending. */
-    int gossipRepeats = 2;
-
     static Dissemination piggyBack() { return {Kind::PiggyBack, 1, false}; }
     static Dissemination
     broadcast(int threshold, bool rmw = false)
@@ -164,6 +157,25 @@ struct Dissemination {
 
     std::string label() const;
 };
+
+/** Gossip rounds each holder re-pushes a fresh rumor. Every due rumor
+ *  goes out every round — packed into at most one Load plus one
+ *  Caching digest per sampled peer, so the wire carries at most
+ *  2 * fanout messages per node per interval however many rumors are
+ *  pending. */
+inline constexpr int GossipRepeats = 2;
+
+/** LARD front-end thresholds (Pai et al.): a back-end above LardHigh
+ *  triggers replication when another sits below LardLow. */
+inline constexpr int LardLow = 25;
+inline constexpr int LardHigh = 65;
+
+/** CPU cost of one front-end routing decision + TCP hand-off. */
+inline constexpr sim::Tick LardRouteCost = 40 * util::US;
+
+/** Requests for files at least this large are always served by the
+ *  initial node (Section 2.2). */
+inline constexpr std::uint64_t LargeFileCutoff = 512 * util::KB;
 
 /**
  * Cache-directory organisation. Replicated is the paper's design:
@@ -201,14 +213,6 @@ struct PressConfig {
      *  remote lookup results). */
     std::uint32_t dirHotSet = 1024;
 
-    /** LARD front-end thresholds (Pai et al.): a back-end above
-     *  lardHigh triggers replication when another sits below lardLow. */
-    int lardLow = 25;
-    int lardHigh = 65;
-
-    /** CPU cost of one front-end routing decision + TCP hand-off. */
-    sim::Tick lardRouteCost = 40 * util::US;
-
     /**
      * Per-node file-cache budget. The paper's nodes have 512 MB of
      * RAM and PRESS caches aggressively; Table 2's near-zero steady-
@@ -220,10 +224,6 @@ struct PressConfig {
 
     /** Overload threshold T on open connections (Section 2.2). */
     int overloadThreshold = 80;
-
-    /** Requests for files at least this large are always served by the
-     *  initial node (Section 2.2). */
-    std::uint64_t largeFileCutoff = 512 * util::KB;
 
     /**
      * Closed-loop client connections per server node. 88 puts node

@@ -159,6 +159,12 @@ CacheDirectory::gainedOwners(storage::FileId file, const NodeMask &before,
     return gained;
 }
 
+bool
+CacheDirectory::canGain(const NodeMask &before, const NodeMask &after) const
+{
+    return sharded() || after.without(before).any();
+}
+
 void
 CacheDirectory::setAlive(const NodeMask &alive)
 {

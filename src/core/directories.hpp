@@ -184,6 +184,11 @@ class CacheDirectory
     NodeMask gainedOwners(storage::FileId file, const NodeMask &before,
                           const NodeMask &after) const;
 
+    /** Whether gainedOwners() can be non-empty for any file between
+     *  these alive sets: replicated only when a node came back; a
+     *  shard can move on any change. */
+    bool canGain(const NodeMask &before, const NodeMask &after) const;
+
     /** Apply a caching update for an owned file (asserts owns()). */
     void update(int node, storage::FileId file, bool cached);
 

@@ -22,7 +22,6 @@ DisseminationEngine::DisseminationEngine(sim::Simulator &sim,
     PRESS_ASSERT(_nodes > 0, "empty cluster");
     PRESS_ASSERT(self >= 0 && self < _nodes, "bad self id");
     PRESS_ASSERT(_d.fanout >= 1, "fanout must be >= 1");
-    PRESS_ASSERT(_d.gossipRepeats >= 1, "repeats must be >= 1");
 
     using Kind = Dissemination::Kind;
     bool lc = config.distribution == Distribution::LocalityConscious;
@@ -231,7 +230,7 @@ DisseminationEngine::announce(std::span<const News> batch)
         }
         for (const News &n : batch)
             _cachingQueue.push_back(Slot{
-                stamp(n, gossipTtl(_nodes, _d.fanout)), _d.gossipRepeats});
+                stamp(n, gossipTtl(_nodes, _d.fanout)), GossipRepeats});
         scheduleRound();
         return;
       case Carrier::Tree:
@@ -398,10 +397,10 @@ DisseminationEngine::enqueueRelay(const News &n)
         // A newer report for the same origin supersedes a queued one.
         if (slot.sendsLeft > 0 && slot.rumor.seq >= relay.seq)
             return;
-        slot = Slot{relay, _d.gossipRepeats};
+        slot = Slot{relay, GossipRepeats};
         return;
     }
-    _cachingQueue.push_back(Slot{relay, _d.gossipRepeats});
+    _cachingQueue.push_back(Slot{relay, GossipRepeats});
 }
 
 void
@@ -467,7 +466,7 @@ DisseminationEngine::runRound()
         _loadSlots[static_cast<std::size_t>(_self)] =
             Slot{stamp(News::ofLoad(_self, current),
                        gossipTtl(_nodes, _d.fanout)),
-                 _d.gossipRepeats};
+                 GossipRepeats};
     samplePeers(_seed, _round, _self, _nodes, _d.fanout, _peers);
 
     // Pack the round's rumors into per-peer digests: at most one Load

@@ -204,7 +204,7 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     }
 
     // Rule 1: large files are always serviced by the initial node.
-    if (size >= _config.largeFileCutoff) {
+    if (size >= LargeFileCutoff) {
         ++_stats.largeFileServes;
         decided(obs::DispatchDecision::LargeFile);
         serveLocal(file, tag);
@@ -325,7 +325,7 @@ PressServer::serveLocal(FileId file, std::uint32_t tag)
         // Disk helper thread hands the buffer back to the main thread.
         _node.cpu().submit(_cal.service.cacheOp, CatService,
                            [this, file, tag, size]() {
-                               if (size < _config.largeFileCutoff)
+                               if (size < LargeFileCutoff)
                                    insertIntoCache(file);
                                reply(tag, size, /*buffer_owner=*/-1);
                            });
@@ -805,6 +805,8 @@ PressServer::applyMembership(const News &n)
 void
 PressServer::reannounceGained(const NodeMask &before, const NodeMask &after)
 {
+    if (!_dir.canGain(before, after))
+        return;
     int announced = 0;
     for (const auto &r : _cache.snapshot()) {
         if (announced >= _config.fault.announceCap)

@@ -11,7 +11,6 @@ TcpComm::TcpComm(sim::Simulator &sim, int node, int nodes,
                  sim::FifoResource &cpu, net::Fabric &fabric,
                  const Calibration &cal, tcpnet::TcpCosts stack_costs)
     : ClusterComm(node, cal.sizes),
-      _sim(sim),
       _cpu(cpu),
       _cal(cal),
       _stack(sim, fabric, node, cpu, CatIntraComm, stack_costs),
@@ -20,17 +19,17 @@ TcpComm::TcpComm(sim::Simulator &sim, int node, int nodes,
 }
 
 void
-TcpComm::connectMesh(std::vector<std::unique_ptr<TcpComm>> &comms,
-                     std::uint64_t sockbuf)
+TcpComm::linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms,
+                  std::uint64_t sockbuf)
 {
     for (std::size_t i = 0; i < comms.size(); ++i) {
         for (std::size_t j = i + 1; j < comms.size(); ++j) {
-            auto [ij, ji] = tcpnet::TcpStack::connect(
-                comms[i]->_stack, comms[j]->_stack, sockbuf);
-            comms[i]->_channelTo[j] = ij;
-            comms[j]->_channelTo[i] = ji;
-            TcpComm *ci = comms[i].get();
-            TcpComm *cj = comms[j].get();
+            auto *ci = static_cast<TcpComm *>(comms[i].get());
+            auto *cj = static_cast<TcpComm *>(comms[j].get());
+            auto [ij, ji] =
+                tcpnet::TcpStack::connect(ci->_stack, cj->_stack, sockbuf);
+            ci->_channelTo[j] = ij;
+            cj->_channelTo[i] = ji;
             ij->onReceive([cj](std::uint64_t, const net::Payload &p) {
                 cj->handleArrival(p);
             });

@@ -35,18 +35,16 @@ class TcpComm : public ClusterComm
      * @param cpu     node CPU; server-side comm work is charged here
      * @param fabric  the internal network (FE or cLAN)
      * @param cal     calibration constants
+     * @param stack_costs  kernel stack costs of that network
      */
     TcpComm(sim::Simulator &sim, int node, int nodes,
             sim::FifoResource &cpu, net::Fabric &fabric,
-            const Calibration &cal,
-            tcpnet::TcpCosts stack_costs = tcpnet::TcpCosts::defaults());
+            const Calibration &cal, tcpnet::TcpCosts stack_costs);
 
     /** Wire up the full mesh between all nodes' endpoints. Call once
-     *  after constructing every TcpComm. */
-    static void connectMesh(std::vector<std::unique_ptr<TcpComm>> &comms,
-                            std::uint64_t sockbuf = 64 * 1024);
-
-    const tcpnet::TcpStack &stack() const { return _stack; }
+     *  after constructing every endpoint; each must be a TcpComm. */
+    static void linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms,
+                         std::uint64_t sockbuf = 64 * 1024);
 
   protected:
     /** Every kind takes the same path: PRESS's send thread, then the
@@ -56,7 +54,6 @@ class TcpComm : public ClusterComm
   private:
     void handleArrival(const net::Payload &payload);
 
-    sim::Simulator &_sim;
     sim::FifoResource &_cpu;
     const Calibration &_cal;
     tcpnet::TcpStack _stack;

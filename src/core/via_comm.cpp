@@ -29,6 +29,21 @@ constexpr std::size_t Channels =
 constexpr const char *ChannelNames[Channels] = {"regular", "forward",
                                                 "caching", "file"};
 
+/** No credit window: an ungated send, or an arrival with no slot or
+ *  descriptor to give back. */
+constexpr FlowChannel NoChannel = FlowChannel::NumChannels;
+
+/** Per-peer memory a remote write can land in (Table 3's rmw cells). */
+enum Region : std::size_t {
+    ForwardRing,
+    CachingRing,
+    FileMetaRing,
+    FileDataRing,
+    FlowWords,
+    LoadWord,
+    NumRegions,
+};
+
 } // namespace
 
 /** Per-peer connection state. */
@@ -41,21 +56,13 @@ struct ViaComm::Peer {
     std::array<CreditGate, Channels> gates;
     std::array<std::uint64_t, Channels> seqs{};
 
-    // Remote bases (peer's address space) this node writes to.
-    Address rForwardRing = 0;
-    Address rCachingRing = 0;
-    Address rFileMetaRing = 0;
-    Address rFileDataRing = 0;
-    Address rFlowWords = 0;
-    Address rLoadWord = 0;
+    // Per Region, the peer's base this node writes to (0 when no path
+    // targets it).
+    std::array<Address, NumRegions> remote{};
 
-    // ---- receiver side: local regions this peer writes into ----
-    MemoryRegion forwardRing;
-    MemoryRegion cachingRing;
-    MemoryRegion fileMetaRing;
-    MemoryRegion fileDataRing;
-    MemoryRegion flowWords;
-    MemoryRegion loadWord;
+    // ---- receiver side: per Region, the local region this peer writes
+    // into ----
+    std::array<MemoryRegion, NumRegions> local;
     MemoryRegion recvBufs; ///< backing for pre-posted recv descriptors
     MemoryRegion staging;  ///< send-side bounce buffers toward the peer
 
@@ -91,12 +98,10 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                  sim::FifoResource &cpu, net::Fabric &fabric,
                  check::ViaChecker *checker)
     : ClusterComm(node, config.calibration.sizes),
-      _sim(sim),
       _config(config),
       _cal(_config.calibration),
       _cpu(cpu),
-      _nic(std::make_unique<via::ViaNic>(sim, fabric, node)),
-      _maxTransfer(config.largeFileCutoff)
+      _nic(std::make_unique<via::ViaNic>(sim, fabric, node))
 {
     // Table 3, plus the load rows the paper's dissemination variants
     // add. Digests are variable-size, so they never go into a fixed
@@ -136,11 +141,10 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     _recvCq = std::make_unique<via::CompletionQueue>(sim, recv_capacity);
     _sendCq = std::make_unique<via::CompletionQueue>(sim);
 
-    _checker = checker;
-    if (_checker) {
-        _checker->attachNic(*_nic);
-        _checker->attachCq(*_recvCq, _node);
-        _checker->attachCq(*_sendCq, _node);
+    if (checker) {
+        checker->attachNic(*_nic);
+        checker->attachCq(*_recvCq, _node);
+        checker->attachCq(*_sendCq, _node);
     }
     _peers.resize(nodes);
     for (int j = 0; j < nodes; ++j) {
@@ -149,79 +153,79 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         auto peer = std::make_unique<Peer>(j, _config.controlWindow,
                                            _config.fileWindow);
         Peer *p = peer.get();
-        int from = j;
 
-        if (_checker) {
+        if (checker) {
             std::string to = "->" + std::to_string(j);
             for (std::size_t c = 0; c < Channels; ++c)
                 p->gates[c].setObserver(
-                    _checker->creditHook(_node, ChannelNames[c] + to));
+                    checker->creditHook(_node, ChannelNames[c] + to));
         }
 
         // Receive-side regions, with write hooks feeding the poll paths.
         // Every node shares this path table, so a region is registered
         // only when some peer's send can target it; a write anywhere
         // else fails loudly (rdmaBadAddress, broken VI).
-        auto control = [this, from](std::uint64_t, std::uint64_t,
-                                    const via::Payload &pl, std::uint32_t) {
-            consumeRmwControl(from, pl);
+        auto ring = [this, p](std::uint64_t, std::uint64_t,
+                              const via::Payload &pl, std::uint32_t) {
+            // Poll hit at the end of the main loop; consume + return
+            // the slot.
+            const auto *w = net::payloadAs<WireMsg>(pl);
+            PRESS_ASSERT(w, "bad ring payload");
+            consume(*p, _cal.via.rmwRecvControl, pl,
+                    w->kind == MsgKind::Forward ? FlowChannel::Forward
+                                                : FlowChannel::Caching,
+                    /*trace_poll=*/true);
         };
         if (onPath<ForwardMsg>(Path::RmwRing))
-            p->forwardRing = _nic->registerMemory(
-                _config.controlWindow * SlotBytes, control);
+            p->local[ForwardRing] = _nic->registerMemory(
+                _config.controlWindow * SlotBytes, ring);
         if (onPath<CachingMsg>(Path::RmwRing) ||
             onPath<MembershipMsg>(Path::RmwRing))
-            p->cachingRing = _nic->registerMemory(
-                _config.controlWindow * SlotBytes, control);
+            p->local[CachingRing] = _nic->registerMemory(
+                _config.controlWindow * SlotBytes, ring);
         if (onPath<FileMsg>(Path::RmwFile)) {
-            p->fileMetaRing = _nic->registerMemory(
+            p->local[FileMetaRing] = _nic->registerMemory(
                 _config.fileWindow * SlotBytes,
-                [this, from](std::uint64_t, std::uint64_t,
-                             const via::Payload &pl, std::uint32_t) {
-                    consumeRmwFile(from, pl);
+                [this, p](std::uint64_t, std::uint64_t,
+                          const via::Payload &pl, std::uint32_t) {
+                    fileArrived(*p, pl);
                 });
             // File data lands silently; the metadata write triggers
             // consumption (it is posted after the data on the same VI,
             // so VIA's in-order delivery guarantees the data is already
             // there).
-            p->fileDataRing = _nic->registerMemory(
-                std::max<std::uint64_t>(_config.fileWindow * _maxTransfer,
-                                        1));
+            p->local[FileDataRing] = _nic->registerMemory(
+                std::max<std::uint64_t>(
+                    _config.fileWindow * LargeFileCutoff, 1));
         }
         if (onPath<FlowMsg>(Path::RmwWord))
-            p->flowWords = _nic->registerMemory(
+            p->local[FlowWords] = _nic->registerMemory(
                 static_cast<int>(FlowChannel::NumChannels) * 8,
-                [this, from](std::uint64_t, std::uint64_t,
-                             const via::Payload &pl, std::uint32_t) {
+                [this, p](std::uint64_t, std::uint64_t,
+                          const via::Payload &pl, std::uint32_t) {
                     const auto *w = net::payloadAs<WireMsg>(pl);
                     PRESS_ASSERT(w, "bad flow-word payload");
                     const auto *flow = std::get_if<FlowMsg>(&w->body);
                     PRESS_ASSERT(flow, "flow word without FlowMsg");
-                    creditArrived(from, *flow);
+                    creditArrived(*p, *flow);
                 });
         if (onPath<LoadMsg>(Path::RmwWord))
-            p->loadWord = _nic->registerMemory(
-                8, [this, from](std::uint64_t, std::uint64_t,
-                                const via::Payload &pl, std::uint32_t) {
+            p->local[LoadWord] = _nic->registerMemory(
+                8, [this, p](std::uint64_t, std::uint64_t,
+                             const via::Payload &pl, std::uint32_t) {
                     // The main thread notices the overwritten word on its
                     // next poll; only the probe costs CPU.
-                    _cpu.submit(_cal.via.pollProbe, CatIntraComm,
-                                [this, pl]() {
-                                    const auto *w =
-                                        net::payloadAs<WireMsg>(pl);
-                                    PRESS_ASSERT(w,
-                                                 "bad load-word payload");
-                                    deliver(toIncoming(*w, pl));
-                                });
+                    consume(*p, _cal.via.pollProbe, pl, NoChannel,
+                            /*trace_poll=*/false);
                 });
         if (_recvThreadNeeded)
             p->recvBufs = _nic->registerMemory(
                 (_config.controlWindow + FlowReserve) *
-                (_maxTransfer + 64));
+                (LargeFileCutoff + 64));
         p->staging = _nic->registerMemory(
             std::max<std::uint64_t>(
                 (_config.controlWindow + _config.fileWindow) *
-                    _maxTransfer,
+                    LargeFileCutoff,
                 1));
 
         // Credit returners toward this peer. RMW file-ring slots are
@@ -235,9 +239,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
             p->returns[c] = std::make_unique<CreditReturner>(
                 channel == FlowChannel::File ? file_batch
                                              : _config.controlCreditBatch,
-                [this, from, channel](int n) {
-                    returnCredits(from, n, channel);
-                });
+                [this, j, channel](int n) { send(j, FlowMsg{n, channel}); });
         }
 
         _peers[j] = std::move(peer);
@@ -247,13 +249,13 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
 ViaComm::~ViaComm() = default;
 
 void
-ViaComm::linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms)
+ViaComm::linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms)
 {
     int n = static_cast<int>(comms.size());
     for (int i = 0; i < n; ++i) {
         for (int j = i + 1; j < n; ++j) {
-            ViaComm &a = *comms[i];
-            ViaComm &b = *comms[j];
+            auto &a = static_cast<ViaComm &>(*comms[i]);
+            auto &b = static_cast<ViaComm &>(*comms[j]);
             via::VirtualInterface *va = a._nic->createVi(
                 via::Reliability::ReliableDelivery, a._sendCq.get(),
                 a._recvCq.get());
@@ -264,26 +266,22 @@ ViaComm::linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms)
             a._peers[j]->vi = va;
             b._peers[i]->vi = vb;
 
-            // Exchange ring addresses (connection-setup time, free).
-            auto wire = [](Peer &mine, const Peer &theirs) {
-                mine.rForwardRing = theirs.forwardRing.base;
-                mine.rCachingRing = theirs.cachingRing.base;
-                mine.rFileMetaRing = theirs.fileMetaRing.base;
-                mine.rFileDataRing = theirs.fileDataRing.base;
-                mine.rFlowWords = theirs.flowWords.base;
-                mine.rLoadWord = theirs.loadWord.base;
-            };
-            wire(*a._peers[j], *b._peers[i]);
-            wire(*b._peers[i], *a._peers[j]);
+            // Exchange region addresses (connection-setup time, free).
+            for (std::size_t r = 0; r < NumRegions; ++r) {
+                a._peers[j]->remote[r] = b._peers[i]->local[r].base;
+                b._peers[i]->remote[r] = a._peers[j]->local[r].base;
+            }
 
             // Pre-post receive descriptors for regular traffic.
             a.repostRecvs(*a._peers[j]);
             b.repostRecvs(*b._peers[i]);
         }
     }
-    for (auto &c : comms)
-        if (c->_recvThreadNeeded)
-            c->armRecvThread();
+    for (auto &c : comms) {
+        auto &via = static_cast<ViaComm &>(*c);
+        if (via._recvThreadNeeded)
+            via.armRecvThread();
+    }
 }
 
 void
@@ -291,29 +289,21 @@ ViaComm::setTracer(obs::Tracer *tracer, int node)
 {
     ClusterComm::setTracer(tracer, node);
     // Stalls are per (peer, channel): each gate gets its own observer so
-    // the trace says which window ran dry. The counter reference is
-    // resolved here, while setup is single-threaded: the registry's
-    // lazy name->slot insert is not safe from concurrent shard workers
-    // (the slot itself is, once it exists — vectors are sized once).
+    // the trace says which window ran dry.
     obs::Counter *stalls =
         tracer ? &tracer->metrics().counter("comm.stalls", node) : nullptr;
     for (auto &peer : _peers) {
         if (!peer)
             continue;
-        auto stall = [tracer, node, stalls](FlowChannel channel) {
+        for (std::size_t c = 0; c < Channels; ++c) {
             CreditGate::StallObserver observer;
             if (tracer)
-                observer = [tracer, node, channel, stalls]() {
-                    tracer->instant(
-                        node, obs::Ev::CommStall, 0,
-                        static_cast<std::uint64_t>(channel));
+                observer = [tracer, node, c, stalls]() {
+                    tracer->instant(node, obs::Ev::CommStall, 0, c);
                     stalls->add();
                 };
-            return observer;
-        };
-        for (std::size_t c = 0; c < Channels; ++c)
-            peer->gates[c].setStallObserver(
-                stall(static_cast<FlowChannel>(c)));
+            peer->gates[c].setStallObserver(std::move(observer));
+        }
     }
 }
 
@@ -334,13 +324,11 @@ ViaComm::cacheInsertCost(std::uint64_t bytes) const
 sim::Tick
 ViaComm::cacheEvictCost(std::uint64_t bytes) const
 {
-    if (_config.version != Version::V5)
-        return 0;
-    return _nic->registrationCost(bytes) / 2;
+    return cacheInsertCost(bytes) / 2;
 }
 
 sim::Tick
-ViaComm::pollSweepCost() const
+ViaComm::perRequestOverhead() const
 {
     if (static_cast<int>(_config.version) < 2)
         return 0;
@@ -377,28 +365,10 @@ ViaComm::postRegular(Peer &peer, WireMsg &&w, std::uint64_t logical_bytes)
     logical_bytes += piggyWord(w);
     recordSend(w.kind, logical_bytes);
     // Credits travel outside the window they replenish.
-    bool gated = w.kind != MsgKind::Flow;
-
-    sim::Tick cpu_cost = _cal.via.regularSend + copyCost(logical_bytes);
-    auto thunk = [this, &peer, logical_bytes, cpu_cost,
-                  payload = net::makePayload<WireMsg>(std::move(w))]() {
-        _cpu.submit(cpu_cost, CatIntraComm,
-                    [this, &peer, logical_bytes, payload]() {
-                        drainSendCq();
-                        if (!peerReachable(peer.id)) {
-                            countDroppedSend();
-                            return;
-                        }
-                        bool ok = peer.vi->postSend(via::makeSend(
-                            peer.staging.base, logical_bytes, payload));
-                        PRESS_ASSERT(ok, "send queue overflow despite "
-                                         "flow control");
-                    });
-    };
-    if (gated)
-        peer.gate(FlowChannel::Regular).acquire(std::move(thunk));
-    else
-        thunk();
+    launch(peer,
+           w.kind == MsgKind::Flow ? NoChannel : FlowChannel::Regular,
+           _cal.via.regularSend + copyCost(logical_bytes),
+           {.msgBytes = logical_bytes}, std::move(w));
 }
 
 void
@@ -412,27 +382,11 @@ ViaComm::postRing(Peer &peer, WireMsg &&w, std::uint64_t logical_bytes)
 
     bool forward = w.kind == MsgKind::Forward;
     FlowChannel channel = forward ? FlowChannel::Forward : FlowChannel::Caching;
-    Address ring = forward ? peer.rForwardRing : peer.rCachingRing;
+    Address ring = peer.remote[forward ? ForwardRing : CachingRing];
     Address slot =
         ring + (peer.seq(channel)++ % _config.controlWindow) * SlotBytes;
-
-    peer.gate(channel).acquire([this, &peer, slot, logical_bytes,
-                  payload = net::makePayload<WireMsg>(std::move(w))]() {
-        _cpu.submit(_cal.via.rmwSend + copyCost(logical_bytes),
-                    CatIntraComm, [this, &peer, slot, logical_bytes,
-                                   payload]() {
-                        drainSendCq();
-                        if (!peerReachable(peer.id)) {
-                            countDroppedSend();
-                            return;
-                        }
-                        bool ok = peer.vi->postSend(via::makeRdmaWrite(
-                            peer.staging.base, logical_bytes, slot,
-                            payload));
-                        PRESS_ASSERT(ok, "ring write overflow despite "
-                                         "flow control");
-                    });
-    });
+    launch(peer, channel, _cal.via.rmwSend + copyCost(logical_bytes),
+           {.msgAt = slot, .msgBytes = logical_bytes}, std::move(w));
 }
 
 void
@@ -444,7 +398,8 @@ ViaComm::postWord(Peer &peer, WireMsg &&w, std::uint64_t logical_bytes)
     Address target;
     if (const auto *flow = std::get_if<FlowMsg>(&w.body)) {
         logical_bytes = _cal.sizes.flowRmw;
-        target = peer.rFlowWords + static_cast<int>(flow->channel) * 8;
+        target = peer.remote[FlowWords] +
+                 static_cast<int>(flow->channel) * 8;
     } else {
         // Dissemination rumors are full messages (origin/seq/hops),
         // never the single overwritable word — rumors about different
@@ -453,23 +408,13 @@ ViaComm::postWord(Peer &peer, WireMsg &&w, std::uint64_t logical_bytes)
         PRESS_ASSERT(load && load->origin < 0,
                      "only flow credits and load broadcasts fit the "
                      "RMW word");
-        target = peer.rLoadWord;
+        target = peer.remote[LoadWord];
     }
     recordSend(w.kind, logical_bytes);
 
     // Overwritable word: no flow control, tiny post cost.
-    _cpu.submit(_cal.via.rmwSendWord, CatIntraComm,
-                [this, &peer, target,
-                 payload = net::makePayload<WireMsg>(std::move(w))]() {
-                    drainSendCq();
-                    if (!peerReachable(peer.id)) {
-                        countDroppedSend();
-                        return;
-                    }
-                    bool ok = peer.vi->postSend(via::makeRdmaWrite(
-                        peer.staging.base, 4, target, payload));
-                    PRESS_ASSERT(ok, "word write overflow");
-                });
+    launch(peer, NoChannel, _cal.via.rmwSendWord,
+           {.msgAt = target, .msgBytes = 4}, std::move(w));
 }
 
 void
@@ -487,36 +432,47 @@ ViaComm::postFile(Peer &peer, WireMsg &&w)
     recordSend(MsgKind::File, meta_bytes);
 
     std::uint64_t slot = peer.seq(FlowChannel::File)++ % _config.fileWindow;
-    Address data_addr = peer.rFileDataRing + slot * _maxTransfer;
-    Address meta_addr = peer.rFileMetaRing + slot * SlotBytes;
+    launch(peer, FlowChannel::File,
+           2 * _cal.via.rmwSend + (zero_copy_tx ? 0 : copyCost(file_bytes)),
+           {.dataAt = peer.remote[FileDataRing] + slot * LargeFileCutoff,
+            .dataBytes = file_bytes,
+            .msgAt = peer.remote[FileMetaRing] + slot * SlotBytes,
+            .msgBytes = meta_bytes},
+           std::move(w));
+}
 
-    sim::Tick cpu_cost = 2 * _cal.via.rmwSend +
-                         (zero_copy_tx ? 0 : copyCost(file_bytes));
-
-    peer.gate(FlowChannel::File).acquire([this, &peer, data_addr, meta_addr,
-                                          file_bytes, meta_bytes, cpu_cost,
-                                          payload = net::makePayload<WireMsg>(
-                                              std::move(w))]() {
-        _cpu.submit(cpu_cost, CatIntraComm,
-                    [this, &peer, data_addr, meta_addr, file_bytes,
-                     meta_bytes, payload]() {
-                        drainSendCq();
-                        if (!peerReachable(peer.id)) {
-                            countDroppedSend();
-                            return;
-                        }
-                        // Data first, then metadata; same VI, so VIA's
-                        // in-order delivery publishes them in order.
-                        bool ok1 = peer.vi->postSend(via::makeRdmaWrite(
-                            peer.staging.base, file_bytes, data_addr));
-                        bool ok2 = peer.vi->postSend(via::makeRdmaWrite(
-                            peer.staging.base, meta_bytes, meta_addr,
-                            payload));
-                        PRESS_ASSERT(ok1 && ok2,
-                                     "file write overflow despite "
-                                     "flow control");
-                    });
-    });
+void
+ViaComm::launch(Peer &peer, FlowChannel channel, sim::Tick cpu_cost,
+                Descs descs, WireMsg &&w)
+{
+    auto put = [this, &peer, descs,
+                payload = net::makePayload<WireMsg>(std::move(w))]() {
+        drainSendCq();
+        if (!peerReachable(peer.id)) {
+            countDroppedSend();
+            return;
+        }
+        // Data first, then the message; same VI, so VIA's in-order
+        // delivery publishes them in order.
+        Address staging = peer.staging.base;
+        bool ok = true;
+        if (descs.dataAt)
+            ok = peer.vi->postSend(via::makeRdmaWrite(
+                staging, descs.dataBytes, descs.dataAt));
+        ok &= peer.vi->postSend(
+            descs.msgAt ? via::makeRdmaWrite(staging, descs.msgBytes,
+                                             descs.msgAt, payload)
+                        : via::makeSend(staging, descs.msgBytes, payload));
+        PRESS_ASSERT(ok, "send queue overflow despite flow control");
+    };
+    if (channel == NoChannel) {
+        _cpu.submit(cpu_cost, CatIntraComm, std::move(put));
+        return;
+    }
+    peer.gate(channel).acquire(
+        [this, cpu_cost, put = std::move(put)]() mutable {
+            _cpu.submit(cpu_cost, CatIntraComm, std::move(put));
+        });
 }
 
 // ---------------------------------------------------------------------
@@ -589,50 +545,19 @@ ViaComm::processRegular(via::DescriptorPtr desc,
 
     // Receive-thread CPU work: wake-path share + digest copy, plus the
     // unavoidable big copy when the payload is a file (V0-V2).
-    sim::Tick cost = _cal.via.regularRecv + _nic->costs().recvPost;
-    if (kind == MsgKind::File)
-        cost += copyCost(bytes);
-    else
-        cost += copyCost(std::min<std::uint64_t>(bytes, SlotBytes));
-
-    _cpu.submit(cost, CatIntraComm, [this, &peer, kind, payload]() {
-        const auto *wm = net::payloadAs<WireMsg>(payload);
-        if (kind == MsgKind::Flow) {
-            const auto *flow = std::get_if<FlowMsg>(&wm->body);
-            PRESS_ASSERT(flow, "Flow message without FlowMsg body");
-            creditArrived(peer.id, *flow);
-        }
-        deliver(toIncoming(*wm, payload));
-        // Gated kinds consumed a descriptor credit; batch it back.
-        if (kind != MsgKind::Flow)
-            peer.returner(FlowChannel::Regular).consumed();
-    });
+    sim::Tick cost = _cal.via.regularRecv + _nic->costs().recvPost +
+                     copyCost(kind == MsgKind::File
+                                  ? bytes
+                                  : std::min<std::uint64_t>(bytes, SlotBytes));
+    // Gated kinds consumed a descriptor credit; batch it back.
+    consume(peer, cost, payload,
+            kind == MsgKind::Flow ? NoChannel : FlowChannel::Regular,
+            /*trace_poll=*/false);
 }
 
 void
-ViaComm::consumeRmwControl(int from, const net::Payload &payload)
+ViaComm::fileArrived(Peer &peer, const net::Payload &payload)
 {
-    Peer &peer = *_peers.at(from);
-    // Poll hit at the end of the main loop; consume + return the slot.
-    _cpu.submit(_cal.via.rmwRecvControl, CatIntraComm,
-                [this, &peer, payload]() {
-                    const auto *w = net::payloadAs<WireMsg>(payload);
-                    PRESS_ASSERT(w, "bad ring payload");
-                    PRESS_TRACE_INSTANT(
-                        _tracer, _traceNode, obs::Ev::CommRmwWrite, 0,
-                        obs::packKindBytes(static_cast<int>(w->kind), 0));
-                    deliver(toIncoming(*w, payload));
-                    peer.returner(w->kind == MsgKind::Forward
-                                      ? FlowChannel::Forward
-                                      : FlowChannel::Caching)
-                        .consumed();
-                });
-}
-
-void
-ViaComm::consumeRmwFile(int from, const net::Payload &payload)
-{
-    Peer &peer = *_peers.at(from);
     const auto *w = net::payloadAs<WireMsg>(payload);
     PRESS_ASSERT(w, "bad file-meta payload");
     const auto *file = std::get_if<FileMsg>(&w->body);
@@ -642,19 +567,32 @@ ViaComm::consumeRmwFile(int from, const net::Payload &payload)
     PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommRmwWrite, 0,
                         obs::packKindBytes(
                             static_cast<int>(MsgKind::File), file->bytes));
-    sim::Tick cost = _cal.via.rmwRecvFile +
-                     (zero_copy_rx ? 0 : copyCost(file->bytes));
+    // V3: the receive copy frees the ring slot. V4/V5: the slot stays
+    // busy until fileBufferDone().
+    consume(peer,
+            _cal.via.rmwRecvFile + (zero_copy_rx ? 0 : copyCost(file->bytes)),
+            payload, zero_copy_rx ? NoChannel : FlowChannel::File,
+            /*trace_poll=*/false);
+}
 
-    _cpu.submit(cost, CatIntraComm,
-                [this, &peer, payload, zero_copy_rx]() {
-                    const auto *wm = net::payloadAs<WireMsg>(payload);
-                    deliver(toIncoming(*wm, payload));
-                    if (!zero_copy_rx) {
-                        // V3: the copy freed the ring slot already.
-                        peer.returner(FlowChannel::File).consumed();
-                    }
-                    // V4/V5: the slot stays busy until fileBufferDone().
-                });
+void
+ViaComm::consume(Peer &peer, sim::Tick cpu_cost, const net::Payload &payload,
+                 FlowChannel channel, bool trace_poll)
+{
+    auto consumed = [this, &peer, payload, channel, trace_poll]() {
+        const auto *w = net::payloadAs<WireMsg>(payload);
+        PRESS_ASSERT(w, "foreign payload on PRESS VI");
+        if (trace_poll)
+            PRESS_TRACE_INSTANT(
+                _tracer, _traceNode, obs::Ev::CommRmwWrite, 0,
+                obs::packKindBytes(static_cast<int>(w->kind), 0));
+        if (const auto *flow = std::get_if<FlowMsg>(&w->body))
+            creditArrived(peer, *flow);
+        deliver(toIncoming(*w, payload));
+        if (channel != NoChannel)
+            peer.returner(channel).consumed();
+    };
+    _cpu.submit(cpu_cost, CatIntraComm, std::move(consumed));
 }
 
 void
@@ -666,15 +604,8 @@ ViaComm::fileBufferDone(int from)
 }
 
 void
-ViaComm::returnCredits(int dst, int n, FlowChannel channel)
+ViaComm::creditArrived(Peer &peer, const FlowMsg &flow)
 {
-    send(dst, FlowMsg{n, channel});
-}
-
-void
-ViaComm::creditArrived(int from, const FlowMsg &flow)
-{
-    Peer &peer = *_peers.at(from);
     PRESS_TRACE_INSTANT(
         _tracer, _traceNode, obs::Ev::CommCredit, 0,
         obs::packKindBytes(static_cast<int>(flow.channel),
@@ -722,7 +653,7 @@ ViaComm::repostRecvs(Peer &peer)
     int prepost = _config.controlWindow + FlowReserve;
     for (int k = 0; k < prepost; ++k) {
         bool ok = peer.vi->postRecv(
-            via::makeRecv(peer.recvBufs.base, _maxTransfer + 64));
+            via::makeRecv(peer.recvBufs.base, LargeFileCutoff + 64));
         PRESS_ASSERT(ok, "recv queue overflow");
     }
 }

@@ -17,6 +17,11 @@
  * Gossip digests are variable-size, so they stay regular. The receive
  * thread is armed whenever a body this configuration sends is regular.
  *
+ * A path only decides what Table 3 varies: the credit window, the CPU
+ * cost and the one or two descriptors. Every send then goes through
+ * launch(), and every arrival but a credit word through consume().
+ * Endpoints are built and linked by buildCommMesh() (core/comm.hpp).
+ *
  * Mechanisms, mirroring Section 3.4:
  *  - Regular messages flow through connected VIs with pre-posted receive
  *    descriptors; a receive thread blocks on a completion queue, wakes on
@@ -42,7 +47,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -80,8 +84,8 @@ class ViaComm : public ClusterComm
     ~ViaComm() override;
 
     /** Create VIs, connect the mesh, and exchange ring addresses. Call
-     *  once after constructing every ViaComm. */
-    static void linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms);
+     *  once after constructing every endpoint; each must be a ViaComm. */
+    static void linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms);
 
     /** Also instruments the credit gates' stall paths. */
     void setTracer(obs::Tracer *tracer, int node) override;
@@ -103,16 +107,9 @@ class ViaComm : public ClusterComm
      * (one sequence-number probe per peer); grows with the cluster size,
      * as Section 2.2 warns.
      */
-    sim::Tick pollSweepCost() const;
-
-    sim::Tick
-    perRequestOverhead() const override
-    {
-        return pollSweepCost();
-    }
+    sim::Tick perRequestOverhead() const override;
 
     const via::ViaNic &nic() const { return *_nic; }
-    Version version() const { return _config.version; }
 
   protected:
     /** Carries @p w along the path Table 3 assigns its body type. */
@@ -137,6 +134,17 @@ class ViaComm : public ClusterComm
         return _pathOf[BodyIndex<B>] == path;
     }
 
+    /** The one or two descriptors of a post, from the peer's staging
+     *  buffer. Address 0 is no remote memory (registered bases start a
+     *  slot up): no `msgAt` is a two-sided send, no `dataAt` no data
+     *  write. */
+    struct Descs {
+        via::Address dataAt = 0;
+        std::uint64_t dataBytes = 0;
+        via::Address msgAt = 0;
+        std::uint64_t msgBytes = 0;
+    };
+
     /** A regular two-sided message; every kind but Flow takes a
      *  descriptor credit. */
     void postRegular(Peer &peer, WireMsg &&w, std::uint64_t bytes);
@@ -151,6 +159,12 @@ class ViaComm : public ClusterComm
     /** The two-message RMW file transfer. */
     void postFile(Peer &peer, WireMsg &&w);
 
+    /** The post step every path ends in: take a credit on @p channel
+     *  (NumChannels: ungated), charge @p cpu_cost, reap the send CQ and
+     *  post @p descs, or drop @p w if the peer went down meanwhile. */
+    void launch(Peer &peer, FlowChannel channel, sim::Tick cpu_cost,
+                Descs descs, WireMsg &&w);
+
     /** Receive-thread drain loop for regular messages. */
     void armRecvThread();
     void drainRecvCq();
@@ -158,16 +172,22 @@ class ViaComm : public ClusterComm
     /** Reap completed send descriptors (bookkeeping only). */
     void drainSendCq();
 
-    /** Consume an RMW arrival after the poll finds it. */
-    void consumeRmwControl(int from, const net::Payload &payload);
-    void consumeRmwFile(int from, const net::Payload &payload);
-
     /** Process a regular-message completion. */
     void processRegular(via::DescriptorPtr desc, via::VirtualInterface *vi);
 
-    /** Credit-return helpers. */
-    void returnCredits(int dst, int n, FlowChannel channel);
-    void creditArrived(int from, const FlowMsg &flow);
+    /** The metadata write of an RMW file transfer landed. */
+    void fileArrived(Peer &peer, const net::Payload &payload);
+
+    /** The consume step every arrival but a credit word ends in: charge
+     *  @p cpu_cost, release a flow message's credits, deliver, and give
+     *  back what the message held on @p channel (NumChannels: nothing).
+     *  @p trace_poll traces a ring write as the poll consumes it. */
+    void consume(Peer &peer, sim::Tick cpu_cost,
+                 const net::Payload &payload, FlowChannel channel,
+                 bool trace_poll);
+
+    /** Credits for @p peer's window arrived (word or message). */
+    void creditArrived(Peer &peer, const FlowMsg &flow);
 
     /** Discard queued sends toward @p peer and restore full windows
      *  (connection teardown / re-establishment). */
@@ -184,12 +204,10 @@ class ViaComm : public ClusterComm
 
     sim::Tick copyCost(std::uint64_t bytes) const;
 
-    sim::Simulator &_sim;
     PressConfig _config;
     const Calibration &_cal;
     sim::FifoResource &_cpu;
     std::unique_ptr<via::ViaNic> _nic;
-    check::ViaChecker *_checker = nullptr;
     std::unique_ptr<via::CompletionQueue> _recvCq;
     std::unique_ptr<via::CompletionQueue> _sendCq;
     std::vector<std::unique_ptr<Peer>> _peers; ///< indexed by node id
@@ -197,7 +215,6 @@ class ViaComm : public ClusterComm
      *  from the version and the dissemination config. */
     std::array<Path, std::variant_size_v<Body>> _pathOf;
     bool _recvThreadNeeded = false;
-    std::uint64_t _maxTransfer;
 };
 
 } // namespace press::core

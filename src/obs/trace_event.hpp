@@ -81,7 +81,7 @@ const char *phaseName(Phase phase);
 /** Why dispatch() routed a request the way it did (ReqDispatch arg). */
 enum class DispatchDecision : std::uint8_t {
     CachedLocal = 0, ///< rule 2: already in this node's cache
-    LargeFile,       ///< rule 1: >= largeFileCutoff, always local
+    LargeFile,       ///< rule 1: >= LargeFileCutoff, always local
     FirstTouch,      ///< rule 3: nobody caches it yet
     SelfBest,        ///< rule 4 picked this node
     Forward,         ///< rule 4: sent to the least-loaded caching node

@@ -11,9 +11,9 @@
  * hot-path closures small.
  *
  * The capacity default (64 bytes) is sized to the largest closure on
- * the simulation hot path (ViaComm::postFile captures seven words
- * plus a Payload handle). Layers that store bigger thunks off the
- * event path (e.g. core::CreditGate) instantiate a wider InlineFn.
+ * the simulation hot path (ViaComm::launch's post step captures six
+ * words plus a Payload handle). Layers that store bigger thunks off
+ * the event path (e.g. core::CreditGate) instantiate a wider InlineFn.
  */
 
 #ifndef PRESS_SIM_INLINE_FN_HPP

@@ -13,23 +13,24 @@
 #include <vector>
 
 #include "check/via_checker.hpp"
-#include "core/tcp_comm.hpp"
 #include "core/via_comm.hpp"
+#include "net/fabric.hpp"
 #include "osnode/node.hpp"
+#include "tcpnet/tcp_stack.hpp"
 
 using namespace press;
 using namespace press::core;
 
 namespace {
 
-/** A tiny N-node comm-only rig (no server logic). */
+/** A tiny N-node comm-only rig (no server logic), wired the way the
+ *  cluster wires its endpoints. */
 struct Rig {
     PressConfig config;
     sim::Simulator sim;
-    std::unique_ptr<net::Fabric> fabric;
     std::vector<std::unique_ptr<osnode::Node>> nodes;
-    std::unique_ptr<check::ViaChecker> checker; ///< one, like the cluster
-    std::vector<std::unique_ptr<ClusterComm>> comms;
+    CommMesh mesh;
+    std::vector<std::unique_ptr<ClusterComm>> &comms = mesh.comms;
     std::vector<std::vector<Incoming>> received;
 
     Rig(int n, Protocol proto, Version version,
@@ -39,40 +40,10 @@ struct Rig {
         config.protocol = proto;
         config.version = version;
         config.dissemination = diss;
-        fabric = std::make_unique<net::Fabric>(
-            sim,
-            proto == Protocol::TcpFastEthernet
-                ? net::FabricConfig::fastEthernet()
-                : net::FabricConfig::clan(),
-            n);
         received.resize(n);
         for (int i = 0; i < n; ++i)
             nodes.push_back(std::make_unique<osnode::Node>(sim, i));
-
-        if (proto == Protocol::ViaClan) {
-            if (config.viaCheck != ViaCheck::Off)
-                checker = std::make_unique<check::ViaChecker>(
-                    sim, config.viaCheck == ViaCheck::Record
-                             ? check::CheckMode::Record
-                             : check::CheckMode::Abort);
-            std::vector<std::unique_ptr<ViaComm>> vias;
-            for (int i = 0; i < n; ++i)
-                vias.push_back(std::make_unique<ViaComm>(
-                    sim, i, config, nodes[i]->cpu(), *fabric,
-                    checker.get()));
-            ViaComm::linkMesh(vias);
-            for (auto &v : vias)
-                comms.push_back(std::move(v));
-        } else {
-            std::vector<std::unique_ptr<TcpComm>> tcps;
-            for (int i = 0; i < n; ++i)
-                tcps.push_back(std::make_unique<TcpComm>(
-                    sim, i, n, nodes[i]->cpu(), *fabric,
-                    config.calibration));
-            TcpComm::connectMesh(tcps);
-            for (auto &t : tcps)
-                comms.push_back(std::move(t));
-        }
+        mesh = buildCommMesh(sim, config, nodes);
         for (int i = 0; i < n; ++i) {
             comms[i]->setHandler([this, i](const Incoming &in) {
                 received[i].push_back(in);
@@ -151,6 +122,21 @@ TEST(TcpCommTest, ChargesIntraCommCpu)
     EXPECT_GT(rig.nodes[0]->cpu().busyTime(osnode::CatIntraComm), 0);
     EXPECT_GT(rig.nodes[1]->cpu().busyTime(osnode::CatIntraComm), 0);
     EXPECT_EQ(rig.nodes[0]->cpu().busyTime(osnode::CatService), 0);
+}
+
+TEST(TcpCommTest, ClanStackChargesTheClusterCosts)
+{
+    // TCP/cLAN runs the kernel stack with cLAN's 16 KB MSS, as the
+    // cluster builds it: a 20 000 B file costs the sender PRESS's send
+    // path plus the cLAN stack's send CPU, nothing else.
+    Rig rig(2, Protocol::TcpClan, Version::V0);
+    rig.comms[0]->send(1, FileMsg{1, 1, 20000});
+    rig.sim.run();
+    std::uint64_t wire = rig.comms[0]->txStats().of(MsgKind::File).bytes;
+    EXPECT_EQ(wire, 20000u + rig.config.calibration.sizes.fileHeader);
+    EXPECT_EQ(rig.nodes[0]->cpu().busyTime(osnode::CatIntraComm),
+              rig.config.calibration.tcp.serverSend +
+                  tcpnet::TcpCosts::clan().sendCpu(wire));
 }
 
 // ---------------------------------------------------------------------

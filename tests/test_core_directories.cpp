@@ -195,6 +195,13 @@ TEST(CacheDirectory, GainedOwnersAfterDeathAndRejoin)
         }
     }
     EXPECT_GT(moved, 0);
+
+    // canGain() bounds the recovery walk: replicated, only a rejoin can
+    // gain anyone; sharded, any change can move a shard.
+    EXPECT_TRUE(repl.canGain(without3, all));
+    EXPECT_FALSE(repl.canGain(all, without3));
+    EXPECT_TRUE(shard.canGain(all, without3));
+    EXPECT_TRUE(shard.canGain(without3, all));
 }
 
 // The sharded organisation: one owner per file plus a hot set.

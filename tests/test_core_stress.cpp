@@ -143,7 +143,7 @@ TEST(StressLargeFiles, NeverForwarded)
     // No file message may carry >= cutoff bytes.
     double avg_file_msg =
         cluster.comm(0).txStats().of(MsgKind::File).avgSize();
-    EXPECT_LT(avg_file_msg, static_cast<double>(c.largeFileCutoff));
+    EXPECT_LT(avg_file_msg, static_cast<double>(LargeFileCutoff));
 }
 
 /** Determinism holds across versions and dissemination strategies. */
