@@ -85,8 +85,9 @@ struct RaceOptions {
     }
 };
 
-/** The golden-test scenarios: the three full-cluster configurations
- *  whose FIFO results the tier-1 suite pins exactly. */
+/** The hunted scenarios: golden-test cluster configurations, whose
+ *  FIFO results the tier-1 suite pins exactly, plus the scalable
+ *  dissemination and directory paths. */
 std::vector<core::PressConfig>
 scenarioConfigs()
 {
@@ -152,6 +153,17 @@ scenarioConfigs()
         c.version = core::Version::V0;
         c.nodes = 8;
         c.directoryMode = core::DirectoryMode::Sharded;
+        configs.push_back(c);
+    }
+    {
+        // VIA V3 with RMW load broadcasts (golden row "V3-load-word"):
+        // the forward/caching rings, the two-message RMW file transfer
+        // with its receive copy, and the overwritable load word.
+        core::PressConfig c;
+        c.protocol = core::Protocol::ViaClan;
+        c.version = core::Version::V3;
+        c.nodes = 8;
+        c.dissemination = core::Dissemination::broadcast(1, /*rmw=*/true);
         configs.push_back(c);
     }
     return configs;
