@@ -18,7 +18,9 @@
 #   (f) scale: the scalable dissemination paths — a 64-node gossip +
 #       tree smoke with the VIA checker live plus the sharded-vs-
 #       replicated directory oracle (examples/scale_smoke), VIA V5 x
-#       gossip/tree cluster runs with the checker aborting, K=4
+#       gossip/tree cluster runs with the checker aborting, a 64-node
+#       VIA V0 x L1 run that drains and replenishes every VI's
+#       counted receive post under the aborting checker, K=4
 #       tick-race hunts focused on the gossip and tree scenarios, and
 #       the benchmark's out-of-tree build, self-tests and a checked
 #       256-node run (perfbench/)
@@ -154,6 +156,12 @@ stage_scale() {
         PRESS_CHECK=1 ./build/examples/trace_server --proto via \
             --version 5 --nodes 8 --dissemination "$diss" --requests 30000
     done
+    # VIA V0 x L1 on 64 nodes: per-change load broadcasts reach every
+    # VI, so each one's counted receive post (postRecvs) is drained and
+    # replenished with the checker aborting. scale_smoke's gossip run
+    # reaches only some of the VIs.
+    PRESS_CHECK=1 ./build/examples/trace_server --proto via --version 0 \
+        --nodes 64 --dissemination l1 --requests 3000
     # Tick-race hunt focused on the gossip and tree scenarios: K=4
     # seeded equal-tick permutations against the FIFO baseline.
     ./build/tools/press_races --seeds 4 --requests 8000 --filter G4

@@ -180,7 +180,7 @@ ViaChecker::onPostSend(const VirtualInterface &vi, const Descriptor &desc)
                                                   : "postSend(Send)";
     checkLiveVi(vi, op);
     checkLifecycle(vi, desc, op);
-    checkLocalBuffer(vi, desc, op);
+    checkLocalBuffer(vi, desc.localAddr, desc.length, op);
 
     // Remote-write target must lie fully inside one region the *peer*
     // registered. Checked at post time against the live peer registry;
@@ -202,7 +202,15 @@ ViaChecker::onPostRecv(const VirtualInterface &vi, const Descriptor &desc)
 {
     checkLiveVi(vi, "postRecv");
     checkLifecycle(vi, desc, "postRecv");
-    checkLocalBuffer(vi, desc, "postRecv");
+    checkLocalBuffer(vi, desc.localAddr, desc.length, "postRecv");
+}
+
+void
+ViaChecker::onPostRecvs(const VirtualInterface &vi, via::Address local,
+                        std::uint64_t capacity, std::size_t)
+{
+    checkLiveVi(vi, "postRecvs");
+    checkLocalBuffer(vi, local, capacity, "postRecvs");
 }
 
 void
@@ -285,16 +293,16 @@ ViaChecker::checkLifecycle(const VirtualInterface &vi,
 }
 
 void
-ViaChecker::checkLocalBuffer(const VirtualInterface &vi,
-                             const Descriptor &desc, const std::string &op)
+ViaChecker::checkLocalBuffer(const VirtualInterface &vi, via::Address addr,
+                             std::uint64_t length, const std::string &op)
 {
-    if (desc.length == 0)
+    if (length == 0)
         return; // zero-length doorbell: no DMA, no registration needed
     ++_checks;
     const MemoryRegistry &memory = vi.nic().memory();
-    if (!memory.find(desc.localAddr, desc.length))
-        flagBadRange(memory, desc.localAddr, desc.length,
-                     op + " local buffer", /*rmw=*/false);
+    if (!memory.find(addr, length))
+        flagBadRange(memory, addr, length, op + " local buffer",
+                     /*rmw=*/false);
 }
 
 void

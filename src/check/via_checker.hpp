@@ -17,6 +17,9 @@
  *  - No operation touches memory whose region has been deregistered
  *    (use-after-deregister is distinguished from never-registered).
  *  - A descriptor is never reposted while still in flight / Pending.
+ *    Counted receive posts (VirtualInterface::postRecvs) hold no
+ *    descriptor until a message arrives, so only the two checks above
+ *    and the dead-VI check below apply to them.
  *  - A CompletionQueue never holds more entries than its advertised
  *    capacity (capacity 0 = unbounded, never flagged).
  *  - Remote memory writes stay fully inside one region the *peer*
@@ -144,6 +147,8 @@ class ViaChecker : public via::ViaObserver
                     const via::Descriptor &desc) override;
     void onPostRecv(const via::VirtualInterface &vi,
                     const via::Descriptor &desc) override;
+    void onPostRecvs(const via::VirtualInterface &vi, via::Address local,
+                     std::uint64_t capacity, std::size_t n) override;
     void onCompletion(const via::VirtualInterface &vi,
                       const via::Descriptor &desc, bool is_recv) override;
     void onRdmaDeliver(const via::MemoryRegistry &registry,
@@ -177,7 +182,7 @@ class ViaChecker : public via::ViaObserver
 
     /** Validate a local DMA buffer (zero-length needs no registration). */
     void checkLocalBuffer(const via::VirtualInterface &vi,
-                          const via::Descriptor &desc,
+                          via::Address addr, std::uint64_t length,
                           const std::string &op);
 
     /** Validate lifecycle on a post; returns false on reuse. */

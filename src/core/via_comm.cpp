@@ -22,6 +22,10 @@ constexpr std::uint64_t SlotBytes = 128;
 /** Extra pre-posted receive descriptors for ungated (flow) traffic. */
 constexpr int FlowReserve = 8;
 
+/** One pre-posted receive buffer: the largest regular file message plus
+ *  its header. */
+constexpr std::uint64_t RecvBufBytes = LargeFileCutoff + 64;
+
 constexpr std::size_t Channels =
     static_cast<std::size_t>(FlowChannel::NumChannels);
 
@@ -68,12 +72,20 @@ struct ViaComm::Peer {
 
     // Credit batching back to the peer for what we consumed, per
     // FlowChannel.
-    std::array<std::unique_ptr<CreditReturner>, Channels> returns;
+    std::array<CreditReturner, Channels> returns;
 
-    Peer(int id_, int control_window, int file_window)
+    Peer(ViaComm &comm, int id_, int control_window, int file_window,
+         int control_batch, int file_batch)
         : id(id_),
           gates{CreditGate(control_window), CreditGate(control_window),
-                CreditGate(control_window), CreditGate(file_window)}
+                CreditGate(control_window), CreditGate(file_window)},
+          returns{comm.creditReturner(id_, FlowChannel::Regular,
+                                      control_batch),
+                  comm.creditReturner(id_, FlowChannel::Forward,
+                                      control_batch),
+                  comm.creditReturner(id_, FlowChannel::Caching,
+                                      control_batch),
+                  comm.creditReturner(id_, FlowChannel::File, file_batch)}
     {
     }
 
@@ -90,7 +102,7 @@ struct ViaComm::Peer {
     CreditReturner &
     returner(FlowChannel c)
     {
-        return *returns[static_cast<std::size_t>(c)];
+        return returns[static_cast<std::size_t>(c)];
     }
 };
 
@@ -146,12 +158,18 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         checker->attachCq(*_recvCq, _node);
         checker->attachCq(*_sendCq, _node);
     }
+    // RMW file-ring slots are acknowledged one by one (the slot word is
+    // the acknowledgement), matching Table 4's near-1:1 Flow:File ratio
+    // in V3-V5; the regular path batches.
+    int file_batch =
+        onPath<FileMsg>(Path::RmwFile) ? 1 : _config.fileCreditBatch;
     _peers.resize(nodes);
     for (int j = 0; j < nodes; ++j) {
         if (j == _node)
             continue;
-        auto peer = std::make_unique<Peer>(j, _config.controlWindow,
-                                           _config.fileWindow);
+        auto peer = std::make_unique<Peer>(
+            *this, j, _config.controlWindow, _config.fileWindow,
+            _config.controlCreditBatch, file_batch);
         Peer *p = peer.get();
 
         if (checker) {
@@ -220,33 +238,27 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                 });
         if (_recvThreadNeeded)
             p->recvBufs = _nic->registerMemory(
-                (_config.controlWindow + FlowReserve) *
-                (LargeFileCutoff + 64));
+                (_config.controlWindow + FlowReserve) * RecvBufBytes);
         p->staging = _nic->registerMemory(
             std::max<std::uint64_t>(
                 (_config.controlWindow + _config.fileWindow) *
                     LargeFileCutoff,
                 1));
 
-        // Credit returners toward this peer. RMW file-ring slots are
-        // acknowledged one by one (the slot word is the
-        // acknowledgement), matching Table 4's near-1:1 Flow:File
-        // ratio in V3-V5; the regular path batches.
-        int file_batch =
-            onPath<FileMsg>(Path::RmwFile) ? 1 : _config.fileCreditBatch;
-        for (std::size_t c = 0; c < Channels; ++c) {
-            auto channel = static_cast<FlowChannel>(c);
-            p->returns[c] = std::make_unique<CreditReturner>(
-                channel == FlowChannel::File ? file_batch
-                                             : _config.controlCreditBatch,
-                [this, j, channel](int n) { send(j, FlowMsg{n, channel}); });
-        }
-
         _peers[j] = std::move(peer);
     }
 }
 
 ViaComm::~ViaComm() = default;
+
+CreditReturner
+ViaComm::creditReturner(int peer, FlowChannel channel, int batch)
+{
+    // Small enough for std::function's inline buffer: no allocation.
+    return CreditReturner(batch, [this, peer, channel](int n) {
+        send(peer, FlowMsg{n, channel});
+    });
+}
 
 void
 ViaComm::linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms)
@@ -512,7 +524,7 @@ ViaComm::processRegular(via::DescriptorPtr desc,
 {
     if (desc->status != via::Status::Complete) {
         // A connection teardown drained this pre-posted buffer; drop
-        // it. The descriptor is re-posted when the peer end revives.
+        // it. The buffer is re-posted when the peer end revives.
         PRESS_ASSERT(desc->status == via::Status::ErrorFlushed,
                      "regular receive failed: flow control must "
                      "prevent overruns (status ",
@@ -537,11 +549,11 @@ ViaComm::processRegular(via::DescriptorPtr desc,
     PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommRecv, 0,
                         obs::packKindBytes(static_cast<int>(kind), bytes));
 
-    // Replenish the descriptor immediately (NIC-side, free) so ungated
-    // flow traffic never overruns.
-    desc->status = via::Status::Pending;
-    desc->payload.reset();
-    vi->postRecv(std::move(desc));
+    // Replenish the buffer immediately (NIC-side, free) so ungated
+    // flow traffic never overruns; the consumed descriptor goes back to
+    // its pool.
+    desc.reset();
+    vi->postRecvs(peer.recvBufs.base, RecvBufBytes, 1);
 
     // Receive-thread CPU work: wake-path share + digest copy, plus the
     // unavoidable big copy when the payload is a file (V0-V2).
@@ -640,8 +652,8 @@ ViaComm::resetPeerFlow(Peer &peer)
 {
     for (CreditGate &gate : peer.gates)
         gate.reset();
-    for (auto &r : peer.returns)
-        r->reset();
+    for (CreditReturner &r : peer.returns)
+        r.reset();
     peer.seqs.fill(0);
 }
 
@@ -650,12 +662,9 @@ ViaComm::repostRecvs(Peer &peer)
 {
     if (!_recvThreadNeeded)
         return;
-    int prepost = _config.controlWindow + FlowReserve;
-    for (int k = 0; k < prepost; ++k) {
-        bool ok = peer.vi->postRecv(
-            via::makeRecv(peer.recvBufs.base, LargeFileCutoff + 64));
-        PRESS_ASSERT(ok, "recv queue overflow");
-    }
+    bool ok = peer.vi->postRecvs(peer.recvBufs.base, RecvBufBytes,
+                                 _config.controlWindow + FlowReserve);
+    PRESS_ASSERT(ok, "recv queue overflow");
 }
 
 void

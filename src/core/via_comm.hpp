@@ -24,10 +24,12 @@
  *
  * Mechanisms, mirroring Section 3.4:
  *  - Regular messages flow through connected VIs with pre-posted receive
- *    descriptors; a receive thread blocks on a completion queue, wakes on
+ *    buffers; a receive thread blocks on a completion queue, wakes on
  *    arrival (context-switch cost), copies a digest to the structure
- *    shared with the main thread, and reposts the descriptor. Credits
- *    (one per descriptor) return in batched Flow messages.
+ *    shared with the main thread, and reposts the buffer. Credits (one
+ *    per buffer) return in batched Flow messages. The window is one
+ *    counted post per VI (via::VirtualInterface::postRecvs), so a
+ *    buffer's descriptor exists only from arrival to completion.
  *  - RMW control messages land in per-sender circular buffers (forward
  *    and caching rings); the main thread polls sequence numbers at the
  *    end of its loop. Ring slots are flow-controlled; credits return as
@@ -193,8 +195,12 @@ class ViaComm : public ClusterComm
      *  (connection teardown / re-establishment). */
     void resetPeerFlow(Peer &peer);
 
-    /** Post the receive descriptors kept posted toward @p peer (at
-     *  link time and on every reconnect). */
+    /** The credit returner for @p peer's @p channel window: sends a
+     *  FlowMsg every @p batch consumed slots. */
+    CreditReturner creditReturner(int peer, FlowChannel channel, int batch);
+
+    /** Post the receive buffers kept posted toward @p peer, as one
+     *  counted post (at link time and on every reconnect). */
     void repostRecvs(Peer &peer);
 
     /** Take this end of the connection to @p p down / back up; a null,

@@ -8,6 +8,10 @@
  * pending sends, completion queues all push/pop per message). RingQueue
  * keeps one power-of-two buffer that grows on demand and is reused for
  * the rest of the run: steady state performs zero allocations.
+ *
+ * The first buffer holds @p FirstSlots entries (a power of two). Queues
+ * that almost always hold one entry, and exist by the hundred thousand,
+ * start at one slot.
  */
 
 #ifndef PRESS_UTIL_RING_QUEUE_HPP
@@ -20,9 +24,12 @@
 namespace press::util {
 
 /** A FIFO over a circular buffer; grows, never shrinks. */
-template <typename T>
+template <typename T, std::size_t FirstSlots = 8>
 class RingQueue
 {
+    static_assert(FirstSlots > 0 && (FirstSlots & (FirstSlots - 1)) == 0,
+                  "the first buffer must be a power of two");
+
   public:
     bool empty() const { return _count == 0; }
     std::size_t size() const { return _count; }
@@ -42,6 +49,13 @@ class RingQueue
         return _buf[_head];
     }
 
+    /** The newest element; the queue must not be empty. */
+    T &
+    back()
+    {
+        return _buf[(_head + _count - 1) & (_buf.size() - 1)];
+    }
+
     void
     pop_front() // NOLINT: STL-style naming, drop-in for deque
     {
@@ -54,7 +68,7 @@ class RingQueue
     void
     grow()
     {
-        std::size_t cap = _buf.empty() ? 8 : _buf.size() * 2;
+        std::size_t cap = _buf.empty() ? FirstSlots : _buf.size() * 2;
         std::vector<T> next(cap);
         for (std::size_t i = 0; i < _count; ++i)
             next[i] = std::move(_buf[(_head + i) & (_buf.size() - 1)]);

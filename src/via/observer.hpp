@@ -20,6 +20,7 @@
 #ifndef PRESS_VIA_OBSERVER_HPP
 #define PRESS_VIA_OBSERVER_HPP
 
+#include <cstddef>
 #include <cstdint>
 
 #include "via/types.hpp"
@@ -59,6 +60,14 @@ class ViaObserver
 
     /** A descriptor is being posted to a receive queue (pre-mutation). */
     virtual void onPostRecv(const VirtualInterface &, const Descriptor &) {}
+
+    /** @p n counted receive buffers of @p capacity bytes at @p local are
+     *  being posted (pre-mutation). No descriptor exists for them yet. */
+    virtual void
+    onPostRecvs(const VirtualInterface &, Address /*local*/,
+                std::uint64_t /*capacity*/, std::size_t /*n*/)
+    {
+    }
 
     /** A descriptor completed (status already final). */
     virtual void

@@ -46,14 +46,37 @@ bool
 VirtualInterface::postRecv(DescriptorPtr desc)
 {
     PRESS_ASSERT(desc, "null recv descriptor");
-    if (_recvQueue.size() >= MaxQueueDepth)
+    if (_recvPosted >= MaxQueueDepth)
         return false;
     if (ViaObserver *obs = _nic.observer())
         obs->onPostRecv(*this, *desc);
     else
         PRESS_ASSERT(desc->status == Status::Pending,
                      "descriptor reposted before completion");
-    _recvQueue.push_back(std::move(desc));
+    _recvQueue.push_back(RecvPost{std::move(desc), 0, 0, 1});
+    ++_recvPosted;
+    return true;
+}
+
+bool
+VirtualInterface::postRecvs(Address local, std::uint64_t capacity,
+                            std::size_t n)
+{
+    PRESS_ASSERT(n > 0, "empty counted receive post");
+    if (n > MaxQueueDepth - _recvPosted)
+        return false;
+    // No descriptor exists yet, so there is no lifecycle to check.
+    if (ViaObserver *obs = _nic.observer())
+        obs->onPostRecvs(*this, local, capacity, n);
+    _recvPosted += n;
+    if (!_recvQueue.empty()) {
+        RecvPost &last = _recvQueue.back();
+        if (!last.desc && last.local == local && last.capacity == capacity) {
+            last.count += n;
+            return true;
+        }
+    }
+    _recvQueue.push_back(RecvPost{nullptr, local, capacity, n});
     return true;
 }
 
@@ -111,9 +134,8 @@ VirtualInterface::completeRecv(DescriptorPtr desc)
 void
 VirtualInterface::flushRecvQueue()
 {
-    while (!_recvQueue.empty()) {
-        DescriptorPtr d = std::move(_recvQueue.front());
-        _recvQueue.pop_front();
+    // Every buffer of a counted entry completes on its own.
+    while (DescriptorPtr d = takeRecv()) {
         d->status = Status::ErrorFlushed;
         completeRecv(std::move(d));
     }
@@ -124,8 +146,12 @@ VirtualInterface::takeRecv()
 {
     if (_recvQueue.empty())
         return nullptr;
-    DescriptorPtr d = std::move(_recvQueue.front());
-    _recvQueue.pop_front();
+    --_recvPosted;
+    RecvPost &next = _recvQueue.front();
+    DescriptorPtr d = next.desc ? std::move(next.desc)
+                                : makeRecv(next.local, next.capacity);
+    if (--next.count == 0)
+        _recvQueue.pop_front();
     return d;
 }
 

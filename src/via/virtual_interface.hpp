@@ -7,6 +7,13 @@
  * Pairs of VIs are connected point-to-point with a negotiated reliability
  * level. Completions go either to per-VI done queues or to shared
  * Completion Queues.
+ *
+ * The receive queue is run-length encoded. An explicit postRecv() is one
+ * entry holding its descriptor; postRecvs() posts n identical buffers as
+ * one counted entry, and the descriptor for one of them is built only
+ * when a message arrives to fill it. A VI that keeps a window of
+ * receives posted therefore costs one queue entry, not one descriptor
+ * per buffer.
  */
 
 #ifndef PRESS_VIA_VIRTUAL_INTERFACE_HPP
@@ -51,10 +58,21 @@ class VirtualInterface
 
     /**
      * Pre-post a receive buffer. Buffers are consumed FIFO by arriving
-     * regular sends.
+     * regular sends; an arrival fills and completes this descriptor.
      * @return false when the receive queue is at MaxQueueDepth.
      */
     bool postRecv(DescriptorPtr desc);
+
+    /**
+     * Pre-post @p n receive buffers of @p capacity bytes at @p local, as
+     * one counted entry (merged into the newest entry when that has the
+     * same shape). Each buffer is consumed, and completes, on its own,
+     * exactly as n postRecv(makeRecv(local, capacity)) calls would; its
+     * descriptor is made when a message lands in it.
+     * @return false (nothing posted) when n more buffers would exceed
+     *         MaxQueueDepth.
+     */
+    bool postRecvs(Address local, std::uint64_t capacity, std::size_t n);
 
     /**
      * Reap the oldest completed send descriptor, when no send CQ is
@@ -65,8 +83,9 @@ class VirtualInterface
     /** Reap the oldest completed receive descriptor (no recv CQ case). */
     DescriptorPtr pollRecv();
 
-    /** Receive descriptors currently posted and unconsumed. */
-    std::size_t recvPosted() const { return _recvQueue.size(); }
+    /** Receive buffers currently posted and unconsumed (counted posts
+     *  count every buffer). */
+    std::size_t recvPosted() const { return _recvPosted; }
 
     /** Send descriptors handed to the NIC and not yet completed. */
     std::size_t sendOutstanding() const { return _sendOutstanding; }
@@ -113,13 +132,14 @@ class VirtualInterface
     /** Deposit a completed receive descriptor. */
     void completeRecv(DescriptorPtr desc);
 
-    /** Consume the next posted receive descriptor; nullptr if none. */
+    /** Consume the next posted receive buffer: its explicit descriptor,
+     *  or a fresh one of a counted entry's shape; nullptr if none. */
     DescriptorPtr takeRecv();
 
     /** Mark the connection broken (reliable-mode errors). */
     void markBroken() { _broken = true; }
 
-    /** Complete every posted receive descriptor with ErrorFlushed. */
+    /** Complete every posted receive buffer with ErrorFlushed. */
     void flushRecvQueue();
 
     ViaNic &_nic;
@@ -131,11 +151,22 @@ class VirtualInterface
     VirtualInterface *_peer = nullptr;
     bool _broken = false;
 
+    /** One receive-queue entry: an explicit descriptor (count 1), or
+     *  count buffers of one shape (desc null). */
+    struct RecvPost {
+        DescriptorPtr desc;
+        Address local = 0;
+        std::uint64_t capacity = 0;
+        std::size_t count = 0;
+    };
+
     // Empty queues allocate nothing: a VI whose completions go to CQs
-    // never touches its done queues.
-    util::RingQueue<DescriptorPtr> _recvQueue; ///< posted receive buffers
-    util::RingQueue<DescriptorPtr> _sendDone;  ///< completed sends (no CQ)
-    util::RingQueue<DescriptorPtr> _recvDone;  ///< completed recvs (no CQ)
+    // never touches its done queues. A VI kept posted by postRecvs()
+    // holds one counted entry, so its receive queue starts at one slot.
+    util::RingQueue<RecvPost, 1> _recvQueue; ///< posted receive buffers
+    util::RingQueue<DescriptorPtr> _sendDone; ///< completed sends (no CQ)
+    util::RingQueue<DescriptorPtr> _recvDone; ///< completed recvs (no CQ)
+    std::size_t _recvPosted = 0; ///< buffers in _recvQueue (summed counts)
     std::size_t _sendOutstanding = 0;
 };
 

@@ -79,13 +79,24 @@ TEST(ViaChecker, UnregisteredSendBufferDetected)
 
 TEST(ViaChecker, UnregisteredRecvBufferDetected)
 {
-    Harness h;
-    via::VirtualInterface *vb = nullptr;
-    h.pair(&vb);
-    vb->postRecv(via::makeRecv(0xbad0000, 4096));
+    // An explicit descriptor and a counted post of the same buffer.
+    for (bool counted : {false, true}) {
+        SCOPED_TRACE(counted ? "postRecvs" : "postRecv");
+        Harness h;
+        via::VirtualInterface *vb = nullptr;
+        h.pair(&vb);
+        if (counted)
+            vb->postRecvs(0xbad0000, 4096, 16);
+        else
+            vb->postRecv(via::makeRecv(0xbad0000, 4096));
 
-    EXPECT_EQ(h.checker.count(Violation::Kind::UnregisteredDma), 1u);
-    EXPECT_EQ(h.checker.violations().front().node, 1);
+        EXPECT_EQ(h.checker.count(Violation::Kind::UnregisteredDma), 1u);
+        ASSERT_FALSE(h.checker.violations().empty());
+        const Violation &v = h.checker.violations().front();
+        EXPECT_EQ(v.node, 1);
+        EXPECT_EQ(v.lo, 0xbad0000u);
+        EXPECT_EQ(v.hi, 0xbad0000u + 4096u);
+    }
 }
 
 TEST(ViaChecker, ZeroLengthDoorbellNeedsNoRegistration)
@@ -449,16 +460,24 @@ TEST(ViaChecker, PostToDeadViDetected)
 
 TEST(ViaChecker, PostRecvOnDeadViDetected)
 {
-    Harness h;
-    via::VirtualInterface *vb = nullptr;
-    h.pair(&vb);
-    auto dst = h.nicB.registerMemory(256);
+    // An explicit descriptor and a counted post on the dead VI.
+    for (bool counted : {false, true}) {
+        SCOPED_TRACE(counted ? "postRecvs" : "postRecv");
+        Harness h;
+        via::VirtualInterface *vb = nullptr;
+        h.pair(&vb);
+        auto dst = h.nicB.registerMemory(256);
 
-    vb->breakLocal();
-    vb->postRecv(via::makeRecv(dst.base, 256));
+        vb->breakLocal();
+        if (counted)
+            vb->postRecvs(dst.base, 256, 4);
+        else
+            vb->postRecv(via::makeRecv(dst.base, 256));
 
-    EXPECT_GE(h.checker.count(Violation::Kind::PostToDeadVi), 1u);
-    EXPECT_EQ(h.checker.violations().front().node, 1);
+        EXPECT_GE(h.checker.count(Violation::Kind::PostToDeadVi), 1u);
+        ASSERT_FALSE(h.checker.violations().empty());
+        EXPECT_EQ(h.checker.violations().front().node, 1);
+    }
 }
 
 TEST(ViaChecker, ErrorCompletionDrainIsClean)

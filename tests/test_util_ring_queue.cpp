@@ -121,3 +121,29 @@ TEST(RingQueue, MoveOnlyElements)
     }
     EXPECT_EQ(expect, 40);
 }
+
+TEST(RingQueue, BackIsTheNewestAcrossGrowthFromOneSlot)
+{
+    // A one-slot first buffer doubles on every fill; back() must track
+    // the newest element through each growth and around the wrap.
+    RingQueue<int, 1> q;
+    q.push_back(0);
+    EXPECT_EQ(q.back(), 0);
+    q.back() = 10; // back() is writable in place
+    EXPECT_EQ(q.front(), 10);
+    for (int i = 1; i < 6; ++i) {
+        q.push_back(i);
+        EXPECT_EQ(q.back(), i);
+        EXPECT_EQ(q.size(), static_cast<std::size_t>(i + 1));
+    }
+    q.pop_front();
+    q.pop_front();
+    q.push_back(6);
+    q.push_back(7); // wraps the 8-slot buffer
+    EXPECT_EQ(q.back(), 7);
+    for (int want = 2; want <= 7; ++want) {
+        EXPECT_EQ(q.front(), want);
+        q.pop_front();
+    }
+    EXPECT_TRUE(q.empty());
+}

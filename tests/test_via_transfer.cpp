@@ -334,8 +334,9 @@ TEST(ViaTransfer, InFlightTrafficDiscardedOnDisconnect)
 
 TEST(ViaTransfer, DescriptorQueuesStayFifoAcrossGrowth)
 {
-    // 20 descriptors overflow the queues' first buffer (8 entries); two
-    // rounds make the second one wrap around the grown buffer.
+    // 20 descriptors overflow the queues' first buffers (1 entry for
+    // posted receives, 8 for done queues); two rounds make the second
+    // one wrap around the grown buffers.
     Harness h;
     via::VirtualInterface *vb = nullptr;
     auto *va = h.pair(via::Reliability::ReliableDelivery, nullptr,
@@ -366,4 +367,146 @@ TEST(ViaTransfer, DescriptorQueuesStayFifoAcrossGrowth)
         }
         EXPECT_FALSE(va->pollSend());
     }
+}
+
+// ---------------------------------------------------------------------
+// Counted receive posts (postRecvs): n buffers of one shape as one
+// queue entry, each consumed and completed on its own
+// ---------------------------------------------------------------------
+
+TEST(ViaTransfer, CountedAndExplicitPostsConsumeFifoAndSumCounts)
+{
+    Harness h;
+    via::VirtualInterface *vb = nullptr;
+    auto *va = h.pair(via::Reliability::ReliableDelivery, nullptr,
+                      nullptr, &vb);
+    auto src = h.nicA.registerMemory(4096);
+    auto dst = h.nicB.registerMemory(4 * 4096);
+    via::Address counted = dst.base + 4096;
+    via::Address other = dst.base + 3 * 4096;
+
+    auto first = via::makeRecv(dst.base, 4096);
+    auto middle = via::makeRecv(dst.base + 2 * 4096, 4096);
+    ASSERT_TRUE(vb->postRecv(first));
+    ASSERT_TRUE(vb->postRecvs(counted, 4096, 2));
+    ASSERT_TRUE(vb->postRecvs(counted, 4096, 1)); // merges with the last
+    ASSERT_TRUE(vb->postRecvs(other, 2048, 1));   // new shape, new entry
+    ASSERT_TRUE(vb->postRecv(middle));
+    ASSERT_TRUE(vb->postRecvs(counted, 4096, 1));
+    EXPECT_EQ(vb->recvPosted(), 7u);
+
+    constexpr int N = 7;
+    for (int i = 0; i < N; ++i) {
+        va->postSend(via::makeSend(src.base, 100, makePayload<int>(i)));
+        if (i == 1) {
+            h.sim.run(); // consumes `first` and one counted buffer
+            EXPECT_EQ(vb->recvPosted(), 5u);
+        }
+    }
+    h.sim.run();
+
+    std::vector<via::DescriptorPtr> got;
+    while (auto d = vb->pollRecv())
+        got.push_back(std::move(d));
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(N));
+    for (int i = 0; i < N; ++i) {
+        EXPECT_EQ(got[i]->status, via::Status::Complete) << i;
+        EXPECT_EQ(got[i]->bytesDone, 100u) << i;
+        EXPECT_EQ(*payloadAs<int>(got[i]->payload), i);
+    }
+    // Explicit descriptors come back as themselves, in post order.
+    EXPECT_EQ(got[0], first);
+    EXPECT_EQ(got[5], middle);
+    // Counted buffers each get their own descriptor of the posted shape.
+    for (int i : {1, 2, 3, 6}) {
+        EXPECT_EQ(got[i]->localAddr, counted) << i;
+        EXPECT_EQ(got[i]->length, 4096u) << i;
+    }
+    EXPECT_EQ(got[4]->localAddr, other);
+    EXPECT_EQ(got[4]->length, 2048u);
+    EXPECT_NE(got[1], got[2]);
+    EXPECT_EQ(vb->recvPosted(), 0u);
+}
+
+TEST(ViaTransfer, ExhaustedCountedPostOverrunsLikeAnEmptyQueue)
+{
+    // The third send finds no buffer left: the same overrun and broken
+    // reliable connection as ReliableOverrunBreaksConnection.
+    Harness h;
+    via::VirtualInterface *vb = nullptr;
+    auto *va = h.pair(via::Reliability::ReliableDelivery, nullptr,
+                      nullptr, &vb);
+    auto src = h.nicA.registerMemory(4096);
+    auto dst = h.nicB.registerMemory(4096);
+    ASSERT_TRUE(vb->postRecvs(dst.base, 4096, 2));
+    for (int i = 0; i < 3; ++i)
+        va->postSend(via::makeSend(src.base, 100, makePayload<int>(i)));
+    h.sim.run();
+
+    for (int i = 0; i < 2; ++i) {
+        auto got = vb->pollRecv();
+        ASSERT_TRUE(got) << i;
+        EXPECT_EQ(got->status, via::Status::Complete);
+        EXPECT_EQ(*payloadAs<int>(got->payload), i);
+    }
+    EXPECT_FALSE(vb->pollRecv()); // no buffer, so no error completion
+    for (int i = 0; i < 2; ++i) {
+        auto sent = va->pollSend();
+        ASSERT_TRUE(sent) << i;
+        EXPECT_EQ(sent->status, via::Status::Complete);
+    }
+    auto overrun = va->pollSend();
+    ASSERT_TRUE(overrun);
+    EXPECT_EQ(overrun->status, via::Status::ErrorRecvOverrun);
+    EXPECT_TRUE(va->broken());
+    EXPECT_TRUE(vb->broken());
+    EXPECT_EQ(h.nicB.stats().recvOverruns, 1u);
+}
+
+TEST(ViaTransfer, CountedPostRefusedPastMaxQueueDepth)
+{
+    Harness h;
+    via::VirtualInterface *vb = nullptr;
+    h.pair(via::Reliability::ReliableDelivery, nullptr, nullptr, &vb);
+    auto dst = h.nicB.registerMemory(4096);
+    constexpr std::size_t Max = via::VirtualInterface::MaxQueueDepth;
+
+    ASSERT_TRUE(vb->postRecvs(dst.base, 64, Max - 1));
+    // Two more would pass the bound: refused whole, nothing posted.
+    EXPECT_FALSE(vb->postRecvs(dst.base, 64, 2));
+    EXPECT_EQ(vb->recvPosted(), Max - 1);
+    EXPECT_TRUE(vb->postRecvs(dst.base, 64, 1));
+    EXPECT_EQ(vb->recvPosted(), Max);
+    // The bound is on buffers, whichever way they were posted.
+    EXPECT_FALSE(vb->postRecvs(dst.base, 64, 1));
+    EXPECT_FALSE(vb->postRecv(via::makeRecv(dst.base, 64)));
+    EXPECT_EQ(vb->recvPosted(), Max);
+}
+
+TEST(ViaTransfer, DisconnectFlushesEveryCountedBuffer)
+{
+    Harness h;
+    via::CompletionQueue recv_cq(h.sim);
+    via::VirtualInterface *vb = nullptr;
+    auto *va = h.pair(via::Reliability::ReliableDelivery, nullptr,
+                      &recv_cq, &vb);
+    auto dst = h.nicB.registerMemory(4096);
+    constexpr std::size_t N = 5;
+    ASSERT_TRUE(vb->postRecvs(dst.base, 4096, N));
+
+    via::ViaNic::disconnect(*va);
+    EXPECT_EQ(vb->recvPosted(), 0u);
+    // n separate ErrorFlushed completions, one descriptor each.
+    ASSERT_EQ(recv_cq.pending(), N);
+    std::vector<via::DescriptorPtr> flushed;
+    while (auto c = recv_cq.poll()) {
+        EXPECT_TRUE(c->isRecv);
+        EXPECT_EQ(c->vi, vb);
+        EXPECT_EQ(c->desc->status, via::Status::ErrorFlushed);
+        EXPECT_EQ(c->desc->localAddr, dst.base);
+        for (const auto &d : flushed)
+            EXPECT_NE(d, c->desc);
+        flushed.push_back(std::move(c->desc));
+    }
+    EXPECT_EQ(flushed.size(), N);
 }
