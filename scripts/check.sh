@@ -20,7 +20,9 @@
 #       replicated directory oracle (examples/scale_smoke), VIA V5 x
 #       gossip/tree cluster runs with the checker aborting, a 64-node
 #       VIA V0 x L1 run that drains and replenishes every VI's
-#       counted receive post under the aborting checker, K=4
+#       counted receive post under the aborting checker, a 64-node
+#       VIA V3 x L1 run over the RMW rings, flow words and file
+#       transfers under the same checker, K=4
 #       tick-race hunts focused on the gossip and tree scenarios, and
 #       the benchmark's out-of-tree build, self-tests and a checked
 #       256-node run (perfbench/)
@@ -161,6 +163,11 @@ stage_scale() {
     # replenished with the checker aborting. scale_smoke's gossip run
     # reaches only some of the VIs.
     PRESS_CHECK=1 ./build/examples/trace_server --proto via --version 0 \
+        --nodes 64 --dissemination l1 --requests 3000
+    # VIA V3 x L1 on 64 nodes: the forward and caching rings, the flow
+    # words and the two-message RMW file transfer at scale, every
+    # credit change seen by the aborting checker.
+    PRESS_CHECK=1 ./build/examples/trace_server --proto via --version 3 \
         --nodes 64 --dissemination l1 --requests 3000
     # Tick-race hunt focused on the gossip and tree scenarios: K=4
     # seeded equal-tick permutations against the FIFO baseline.

@@ -6,8 +6,12 @@
  * (remote memory writes) are finite; a sender must hold a credit per
  * in-flight message and stall otherwise. PRESS implements this with its
  * fifth message type — very short messages carrying numbers of empty
- * buffer slots (Section 2.2) — which the comm backends send through
- * CreditGate's release path.
+ * buffer slots (Section 2.2) — which the comm backends send when a
+ * CreditReturner says credits are due and feed to CreditGate::release.
+ *
+ * A VIA node keeps four gates and four returners per peer, so both stay
+ * small: the checker's observer lives out of line and only checked runs
+ * allocate it.
  */
 
 #ifndef PRESS_CORE_CREDIT_GATE_HPP
@@ -15,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "sim/inline_fn.hpp"
 #include "util/logging.hpp"
@@ -34,9 +39,6 @@ class CreditGate
      */
     using Observer = std::function<void(int credits, int window)>;
 
-    /** Fires once per stalled acquire (the tracing hook). */
-    using StallObserver = std::function<void()>;
-
     /**
      * Gated send thunk. Wider than sim::EventFn because the comm
      * backends capture a full post context (peer, ring addresses,
@@ -52,7 +54,8 @@ class CreditGate
 
     /**
      * Run @p thunk now if a credit is free (consuming it), else queue it.
-     * @return true when it ran immediately.
+     * @return true when it ran immediately; false is a stall, which the
+     *         caller traces.
      */
     bool
     acquire(Thunk thunk)
@@ -64,8 +67,6 @@ class CreditGate
             return true;
         }
         ++_stalls;
-        if (_onStall)
-            _onStall();
         _waiting.push_back(std::move(thunk));
         return false;
     }
@@ -91,13 +92,12 @@ class CreditGate
     }
 
     /** Attach a mutation observer (empty function detaches). */
-    void setObserver(Observer observer) { _observer = std::move(observer); }
-
-    /** Attach a stall observer (empty function detaches). */
     void
-    setStallObserver(StallObserver observer)
+    setObserver(Observer observer)
     {
-        _onStall = std::move(observer);
+        _observer = observer
+                        ? std::make_unique<Observer>(std::move(observer))
+                        : nullptr;
     }
 
     /**
@@ -125,48 +125,48 @@ class CreditGate
     observed()
     {
         if (_observer)
-            _observer(_credits, _window);
+            (*_observer)(_credits, _window);
     }
 
     int _credits;
     int _window;
     util::RingQueue<Thunk> _waiting;
     std::uint64_t _stalls = 0;
-    Observer _observer;
-    StallObserver _onStall;
+    std::unique_ptr<Observer> _observer; ///< null unless checked
 };
 
+static_assert(sizeof(CreditGate) == 48,
+              "CreditGate: two counts, a 24 B backlog ring, a stall count "
+              "and an out-of-line observer");
+
 /**
- * The consumer side of a window: counts consumed slots and fires a
- * callback whenever @p batch of them accumulate, batching credit-return
- * messages the way PRESS does.
+ * The consumer side of a window: counts consumed slots and says when
+ * @p batch of them have accumulated, batching credit-return messages the
+ * way PRESS does. The caller sends the credits it is handed.
  */
 class CreditReturner
 {
   public:
-    CreditReturner(int batch, std::function<void(int)> send_credits)
-        : _batch(batch), _send(std::move(send_credits))
+    explicit CreditReturner(int batch) : _batch(batch)
     {
         PRESS_ASSERT(batch > 0, "credit batch must be positive");
     }
 
-    /** Note one consumed slot. */
-    void
+    /** Note one consumed slot.
+     *  @return the credits now due: a full batch, or 0. */
+    [[nodiscard]] int
     consumed()
     {
-        if (++_pending >= _batch)
-            flush();
+        return ++_pending >= _batch ? flush() : 0;
     }
 
-    /** Send whatever credits are pending. */
-    void
+    /** @return every pending credit (0 when none), now due. */
+    [[nodiscard]] int
     flush()
     {
-        if (_pending == 0)
-            return;
         int n = _pending;
         _pending = 0;
-        _send(n);
+        return n;
     }
 
     /** Connection teardown: forget pending credits without sending —
@@ -178,7 +178,6 @@ class CreditReturner
   private:
     int _batch;
     int _pending = 0;
-    std::function<void(int)> _send;
 };
 
 } // namespace press::core

@@ -12,7 +12,6 @@ namespace press::core {
 
 using osnode::CatIntraComm;
 using via::Address;
-using via::MemoryRegion;
 
 namespace {
 
@@ -50,9 +49,8 @@ enum Region : std::size_t {
 
 } // namespace
 
-/** Per-peer connection state. */
+/** Per-peer connection state, held by value in ViaComm::_peers. */
 struct ViaComm::Peer {
-    int id = -1;
     via::VirtualInterface *vi = nullptr;
 
     // ---- sender side, per FlowChannel: credits for the peer's receive
@@ -64,28 +62,26 @@ struct ViaComm::Peer {
     // targets it).
     std::array<Address, NumRegions> remote{};
 
-    // ---- receiver side: per Region, the local region this peer writes
-    // into ----
-    std::array<MemoryRegion, NumRegions> local;
-    MemoryRegion recvBufs; ///< backing for pre-posted recv descriptors
-    MemoryRegion staging;  ///< send-side bounce buffers toward the peer
+    // ---- receiver side: per Region, the base of the local region this
+    // peer writes into (0 when none is registered) ----
+    std::array<Address, NumRegions> local{};
+    Address recvBufs = 0; ///< backing for pre-posted recv buffers
+    Address staging = 0;  ///< send-side bounce buffers toward the peer
 
-    // Credit batching back to the peer for what we consumed, per
+    // Credits owed back to the peer for what we consumed, per
     // FlowChannel.
     std::array<CreditReturner, Channels> returns;
 
-    Peer(ViaComm &comm, int id_, int control_window, int file_window,
-         int control_batch, int file_batch)
-        : id(id_),
-          gates{CreditGate(control_window), CreditGate(control_window),
+    int id = -1;
+
+    Peer(int id_, int control_window, int file_window, int control_batch,
+         int file_batch)
+        : gates{CreditGate(control_window), CreditGate(control_window),
                 CreditGate(control_window), CreditGate(file_window)},
-          returns{comm.creditReturner(id_, FlowChannel::Regular,
-                                      control_batch),
-                  comm.creditReturner(id_, FlowChannel::Forward,
-                                      control_batch),
-                  comm.creditReturner(id_, FlowChannel::Caching,
-                                      control_batch),
-                  comm.creditReturner(id_, FlowChannel::File, file_batch)}
+          returns{CreditReturner(control_batch),
+                  CreditReturner(control_batch),
+                  CreditReturner(control_batch), CreditReturner(file_batch)},
+          id(id_)
     {
     }
 
@@ -163,14 +159,23 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     // in V3-V5; the regular path batches.
     int file_batch =
         onPath<FileMsg>(Path::RmwFile) ? 1 : _config.fileCreditBatch;
-    _peers.resize(nodes);
+    // One Peer per node id (this node's own slot stays unlinked), never
+    // reallocated: the write hooks below keep pointers into _peers.
+    static_assert(sizeof(Peer) <= 384,
+                  "ViaComm::Peer exists per (node, peer) pair: 65 280 of "
+                  "them at 256 nodes");
+    _peers.reserve(nodes);
+    // A Peer keeps the base of each region it registers.
+    auto reg = [this](std::uint64_t size, via::WriteHook hook = {}) {
+        return _nic->registerMemory(size, std::move(hook)).base;
+    };
     for (int j = 0; j < nodes; ++j) {
+        Peer *p = &_peers.emplace_back(j, _config.controlWindow,
+                                       _config.fileWindow,
+                                       _config.controlCreditBatch,
+                                       file_batch);
         if (j == _node)
             continue;
-        auto peer = std::make_unique<Peer>(
-            *this, j, _config.controlWindow, _config.fileWindow,
-            _config.controlCreditBatch, file_batch);
-        Peer *p = peer.get();
 
         if (checker) {
             std::string to = "->" + std::to_string(j);
@@ -195,14 +200,14 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                     /*trace_poll=*/true);
         };
         if (onPath<ForwardMsg>(Path::RmwRing))
-            p->local[ForwardRing] = _nic->registerMemory(
-                _config.controlWindow * SlotBytes, ring);
+            p->local[ForwardRing] =
+                reg(_config.controlWindow * SlotBytes, ring);
         if (onPath<CachingMsg>(Path::RmwRing) ||
             onPath<MembershipMsg>(Path::RmwRing))
-            p->local[CachingRing] = _nic->registerMemory(
-                _config.controlWindow * SlotBytes, ring);
+            p->local[CachingRing] =
+                reg(_config.controlWindow * SlotBytes, ring);
         if (onPath<FileMsg>(Path::RmwFile)) {
-            p->local[FileMetaRing] = _nic->registerMemory(
+            p->local[FileMetaRing] = reg(
                 _config.fileWindow * SlotBytes,
                 [this, p](std::uint64_t, std::uint64_t,
                           const via::Payload &pl, std::uint32_t) {
@@ -212,12 +217,11 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
             // consumption (it is posted after the data on the same VI,
             // so VIA's in-order delivery guarantees the data is already
             // there).
-            p->local[FileDataRing] = _nic->registerMemory(
-                std::max<std::uint64_t>(
-                    _config.fileWindow * LargeFileCutoff, 1));
+            p->local[FileDataRing] = reg(std::max<std::uint64_t>(
+                _config.fileWindow * LargeFileCutoff, 1));
         }
         if (onPath<FlowMsg>(Path::RmwWord))
-            p->local[FlowWords] = _nic->registerMemory(
+            p->local[FlowWords] = reg(
                 static_cast<int>(FlowChannel::NumChannels) * 8,
                 [this, p](std::uint64_t, std::uint64_t,
                           const via::Payload &pl, std::uint32_t) {
@@ -228,7 +232,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                     creditArrived(*p, *flow);
                 });
         if (onPath<LoadMsg>(Path::RmwWord))
-            p->local[LoadWord] = _nic->registerMemory(
+            p->local[LoadWord] = reg(
                 8, [this, p](std::uint64_t, std::uint64_t,
                              const via::Payload &pl, std::uint32_t) {
                     // The main thread notices the overwritten word on its
@@ -237,28 +241,15 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                             /*trace_poll=*/false);
                 });
         if (_recvThreadNeeded)
-            p->recvBufs = _nic->registerMemory(
-                (_config.controlWindow + FlowReserve) * RecvBufBytes);
-        p->staging = _nic->registerMemory(
-            std::max<std::uint64_t>(
-                (_config.controlWindow + _config.fileWindow) *
-                    LargeFileCutoff,
-                1));
-
-        _peers[j] = std::move(peer);
+            p->recvBufs =
+                reg((_config.controlWindow + FlowReserve) * RecvBufBytes);
+        p->staging = reg(std::max<std::uint64_t>(
+            (_config.controlWindow + _config.fileWindow) * LargeFileCutoff,
+            1));
     }
 }
 
 ViaComm::~ViaComm() = default;
-
-CreditReturner
-ViaComm::creditReturner(int peer, FlowChannel channel, int batch)
-{
-    // Small enough for std::function's inline buffer: no allocation.
-    return CreditReturner(batch, [this, peer, channel](int n) {
-        send(peer, FlowMsg{n, channel});
-    });
-}
 
 void
 ViaComm::linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms)
@@ -275,18 +266,18 @@ ViaComm::linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms)
                 via::Reliability::ReliableDelivery, b._sendCq.get(),
                 b._recvCq.get());
             via::ViaNic::connect(*va, *vb);
-            a._peers[j]->vi = va;
-            b._peers[i]->vi = vb;
+            Peer &pa = a._peers[j];
+            Peer &pb = b._peers[i];
+            pa.vi = va;
+            pb.vi = vb;
 
             // Exchange region addresses (connection-setup time, free).
-            for (std::size_t r = 0; r < NumRegions; ++r) {
-                a._peers[j]->remote[r] = b._peers[i]->local[r].base;
-                b._peers[i]->remote[r] = a._peers[j]->local[r].base;
-            }
+            pa.remote = pb.local;
+            pb.remote = pa.local;
 
             // Pre-post receive descriptors for regular traffic.
-            a.repostRecvs(*a._peers[j]);
-            b.repostRecvs(*b._peers[i]);
+            a.repostRecvs(pa);
+            b.repostRecvs(pb);
         }
     }
     for (auto &c : comms) {
@@ -300,23 +291,8 @@ void
 ViaComm::setTracer(obs::Tracer *tracer, int node)
 {
     ClusterComm::setTracer(tracer, node);
-    // Stalls are per (peer, channel): each gate gets its own observer so
-    // the trace says which window ran dry.
-    obs::Counter *stalls =
+    _stalls =
         tracer ? &tracer->metrics().counter("comm.stalls", node) : nullptr;
-    for (auto &peer : _peers) {
-        if (!peer)
-            continue;
-        for (std::size_t c = 0; c < Channels; ++c) {
-            CreditGate::StallObserver observer;
-            if (tracer)
-                observer = [tracer, node, c, stalls]() {
-                    tracer->instant(node, obs::Ev::CommStall, 0, c);
-                    stalls->add();
-                };
-            peer->gates[c].setStallObserver(std::move(observer));
-        }
-    }
 }
 
 sim::Tick
@@ -358,7 +334,7 @@ ViaComm::post(int dst, WireMsg &&w, std::uint64_t bytes)
         countDroppedSend();
         return;
     }
-    Peer &peer = *_peers.at(dst);
+    Peer &peer = _peers.at(dst);
     switch (_pathOf[w.body.index()]) {
       case Path::Regular:
         return postRegular(peer, std::move(w), bytes);
@@ -466,7 +442,7 @@ ViaComm::launch(Peer &peer, FlowChannel channel, sim::Tick cpu_cost,
         }
         // Data first, then the message; same VI, so VIA's in-order
         // delivery publishes them in order.
-        Address staging = peer.staging.base;
+        Address staging = peer.staging;
         bool ok = true;
         if (descs.dataAt)
             ok = peer.vi->postSend(via::makeRdmaWrite(
@@ -481,10 +457,16 @@ ViaComm::launch(Peer &peer, FlowChannel channel, sim::Tick cpu_cost,
         _cpu.submit(cpu_cost, CatIntraComm, std::move(put));
         return;
     }
-    peer.gate(channel).acquire(
+    bool ran = peer.gate(channel).acquire(
         [this, cpu_cost, put = std::move(put)]() mutable {
             _cpu.submit(cpu_cost, CatIntraComm, std::move(put));
         });
+    if (!ran && _stalls) {
+        // Per (peer, channel): the trace says which window ran dry.
+        PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommStall, 0,
+                            static_cast<std::uint64_t>(channel));
+        _stalls->add();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -537,9 +519,8 @@ ViaComm::processRegular(via::DescriptorPtr desc,
     // connected end sits on the sender's NIC.
     PRESS_ASSERT(vi->peer(), "completion on an unconnected VI");
     int from = vi->peer()->node();
-    PRESS_ASSERT(_peers.at(from) && _peers[from]->vi == vi,
-                 "completion from unknown VI");
-    Peer &peer = *_peers[from];
+    Peer &peer = _peers.at(from);
+    PRESS_ASSERT(peer.vi == vi, "completion from unknown VI");
 
     net::Payload payload = desc->payload;
     const auto *w = net::payloadAs<WireMsg>(payload);
@@ -553,7 +534,7 @@ ViaComm::processRegular(via::DescriptorPtr desc,
     // flow traffic never overruns; the consumed descriptor goes back to
     // its pool.
     desc.reset();
-    vi->postRecvs(peer.recvBufs.base, RecvBufBytes, 1);
+    vi->postRecvs(peer.recvBufs, RecvBufBytes, 1);
 
     // Receive-thread CPU work: wake-path share + digest copy, plus the
     // unavoidable big copy when the payload is a file (V0-V2).
@@ -602,7 +583,8 @@ ViaComm::consume(Peer &peer, sim::Tick cpu_cost, const net::Payload &payload,
             creditArrived(peer, *flow);
         deliver(toIncoming(*w, payload));
         if (channel != NoChannel)
-            peer.returner(channel).consumed();
+            returnCredits(peer, channel,
+                          peer.returner(channel).consumed());
     };
     _cpu.submit(cpu_cost, CatIntraComm, std::move(consumed));
 }
@@ -612,7 +594,16 @@ ViaComm::fileBufferDone(int from)
 {
     if (static_cast<int>(_config.version) < 4)
         return; // slot was released when the receive copy finished
-    _peers.at(from)->returner(FlowChannel::File).consumed();
+    Peer &peer = _peers.at(from);
+    returnCredits(peer, FlowChannel::File,
+                  peer.returner(FlowChannel::File).consumed());
+}
+
+void
+ViaComm::returnCredits(const Peer &peer, FlowChannel channel, int credits)
+{
+    if (credits > 0)
+        send(peer.id, FlowMsg{credits, channel});
 }
 
 void
@@ -662,61 +653,61 @@ ViaComm::repostRecvs(Peer &peer)
 {
     if (!_recvThreadNeeded)
         return;
-    bool ok = peer.vi->postRecvs(peer.recvBufs.base, RecvBufBytes,
+    bool ok = peer.vi->postRecvs(peer.recvBufs, RecvBufBytes,
                                  _config.controlWindow + FlowReserve);
     PRESS_ASSERT(ok, "recv queue overflow");
 }
 
 void
-ViaComm::breakPeer(Peer *p)
+ViaComm::breakPeer(Peer &p)
 {
-    if (!p || !p->vi || p->vi->broken())
+    if (!p.vi || p.vi->broken())
         return;
     // Tear down this end only: posted receive buffers drain with
     // ErrorFlushed (drainRecvCq drops them), queued sends are
     // discarded, windows restore for the eventual reconnect.
-    p->vi->breakLocal();
-    resetPeerFlow(*p);
+    p.vi->breakLocal();
+    resetPeerFlow(p);
 }
 
 void
-ViaComm::revivePeer(Peer *p)
+ViaComm::revivePeer(Peer &p)
 {
-    if (!p || !p->vi || !p->vi->broken())
+    if (!p.vi || !p.vi->broken())
         return;
-    p->vi->revive();
-    resetPeerFlow(*p);
-    repostRecvs(*p);
+    p.vi->revive();
+    resetPeerFlow(p);
+    repostRecvs(p);
 }
 
 void
 ViaComm::peerDown(int peer_id)
 {
     ClusterComm::peerDown(peer_id);
-    breakPeer(_peers.at(peer_id).get());
+    breakPeer(_peers.at(peer_id));
 }
 
 void
 ViaComm::peerUp(int peer_id)
 {
     ClusterComm::peerUp(peer_id);
-    revivePeer(_peers.at(peer_id).get());
+    revivePeer(_peers.at(peer_id));
 }
 
 void
 ViaComm::selfDown()
 {
     ClusterComm::selfDown();
-    for (auto &p : _peers)
-        breakPeer(p.get());
+    for (Peer &p : _peers)
+        breakPeer(p);
 }
 
 void
 ViaComm::selfUp()
 {
     ClusterComm::selfUp();
-    for (auto &p : _peers)
-        revivePeer(p.get());
+    for (Peer &p : _peers)
+        revivePeer(p);
 }
 
 } // namespace press::core

@@ -89,7 +89,7 @@ class ViaComm : public ClusterComm
      *  once after constructing every endpoint; each must be a ViaComm. */
     static void linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms);
 
-    /** Also instruments the credit gates' stall paths. */
+    /** Also counts credit-gate stalls (comm.stalls, CommStall). */
     void setTracer(obs::Tracer *tracer, int node) override;
 
     void fileBufferDone(int from) override;
@@ -195,18 +195,19 @@ class ViaComm : public ClusterComm
      *  (connection teardown / re-establishment). */
     void resetPeerFlow(Peer &peer);
 
-    /** The credit returner for @p peer's @p channel window: sends a
-     *  FlowMsg every @p batch consumed slots. */
-    CreditReturner creditReturner(int peer, FlowChannel channel, int batch);
+    /** Send @p credits of @p channel back to @p peer as a FlowMsg (none
+     *  when 0: the returner's batch is still filling). */
+    void returnCredits(const Peer &peer, FlowChannel channel, int credits);
 
     /** Post the receive buffers kept posted toward @p peer, as one
      *  counted post (at link time and on every reconnect). */
     void repostRecvs(Peer &peer);
 
-    /** Take this end of the connection to @p p down / back up; a null,
-     *  unlinked or already-down (up) peer is left alone. */
-    void breakPeer(Peer *p);
-    void revivePeer(Peer *p);
+    /** Take this end of the connection to @p p down / back up; an
+     *  unlinked (this node's own) or already-down (up) peer is left
+     *  alone. */
+    void breakPeer(Peer &p);
+    void revivePeer(Peer &p);
 
     sim::Tick copyCost(std::uint64_t bytes) const;
 
@@ -216,11 +217,14 @@ class ViaComm : public ClusterComm
     std::unique_ptr<via::ViaNic> _nic;
     std::unique_ptr<via::CompletionQueue> _recvCq;
     std::unique_ptr<via::CompletionQueue> _sendCq;
-    std::vector<std::unique_ptr<Peer>> _peers; ///< indexed by node id
+    /** Indexed by node id; reserved once, so the write hooks' Peer
+     *  pointers stay valid. */
+    std::vector<Peer> _peers;
     /** Path per Body alternative (BodyIndex), fixed at construction
      *  from the version and the dissemination config. */
     std::array<Path, std::variant_size_v<Body>> _pathOf;
     bool _recvThreadNeeded = false;
+    obs::Counter *_stalls = nullptr; ///< comm.stalls; null untraced
 };
 
 } // namespace press::core

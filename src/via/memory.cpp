@@ -46,12 +46,12 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
     region.base = Address{region.handle} << SlotShift;
     region.size = size;
     _pinned += roundUpToPage(size);
-    auto entry = std::make_unique<Entry>(Entry{region, std::move(hook), {}});
+    Entry &entry = _slots.emplace_with(
+        [&] { return Entry{region, std::move(hook), {}}; });
     if (backed) {
-        entry->backing.assign(size, 0);
+        entry.backing.assign(size, 0);
         ++_backed;
     }
-    _slots.push_back(std::move(entry));
     ++_live;
     if (_observer)
         _observer->onRegister(*this, region, backed);
@@ -61,17 +61,18 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
 bool
 MemoryRegistry::deregister(MemoryHandle handle)
 {
-    if (handle == 0 || handle > _slots.size() || !_slots[handle - 1]) {
+    if (handle == 0 || handle > _slots.size() ||
+        _slots[handle - 1].region.handle == 0) {
         if (_observer)
             _observer->onDeregister(*this, handle, false);
         return false;
     }
-    std::unique_ptr<Entry> &slot = _slots[handle - 1];
-    _pinned -= roundUpToPage(slot->region.size);
-    if (!slot->backing.empty())
+    Entry &slot = _slots[handle - 1];
+    _pinned -= roundUpToPage(slot.region.size);
+    if (!slot.backing.empty())
         --_backed;
     --_live;
-    slot.reset();
+    slot = Entry{};
     if (_observer)
         _observer->onDeregister(*this, handle, true);
     return true;
@@ -82,9 +83,11 @@ MemoryRegistry::entryFor(Address addr, std::uint64_t length) const
 {
     // Addresses below the first slot wrap to a huge index and miss.
     std::uint64_t slot = (addr >> SlotShift) - 1;
-    if (slot >= _slots.size() || !_slots[slot])
+    if (slot >= _slots.size())
         return nullptr;
-    const Entry &e = *_slots[slot];
+    const Entry &e = _slots[slot];
+    if (e.region.handle == 0)
+        return nullptr; // deregistered
     // addr >= base by construction; compare lengths, never end
     // addresses, so a huge length cannot wrap back into the region.
     std::uint64_t offset = addr - e.region.base;

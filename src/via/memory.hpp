@@ -20,11 +20,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "util/chunked_vector.hpp"
 #include "via/types.hpp"
 
 namespace press::via {
@@ -133,7 +133,7 @@ class MemoryRegistry
 
   private:
     struct Entry {
-        MemoryRegion region;
+        MemoryRegion region; ///< handle 0 once deregistered
         WriteHook hook;
         std::vector<std::uint8_t> backing; ///< empty for plain regions
     };
@@ -143,11 +143,11 @@ class MemoryRegistry
     const Entry *entryFor(Address addr, std::uint64_t length) const;
     Entry *entryFor(Address addr, std::uint64_t length);
 
-    /** Slot k - 1 holds the region with handle k, null once it is
-     *  deregistered. Entries are heap-held so a write hook that
-     *  registers memory never moves the hook that is running. */
-    std::vector<std::unique_ptr<Entry>> _slots;
-    std::size_t _live = 0;   ///< non-null slots
+    /** Slot k - 1 holds the region with handle k, cleared once it is
+     *  deregistered. Entries never move, so a write hook that registers
+     *  memory never moves the hook that is running. */
+    util::ChunkedVector<Entry> _slots;
+    std::size_t _live = 0;   ///< slots still registered
     std::size_t _backed = 0; ///< live slots with backing storage
     std::uint64_t _pinned = 0;
     ViaObserver *_observer = nullptr;

@@ -57,11 +57,11 @@ VirtualInterface *
 ViaNic::createVi(Reliability reliability, CompletionQueue *send_cq,
                  CompletionQueue *recv_cq)
 {
-    auto vi = std::unique_ptr<VirtualInterface>(new VirtualInterface(
-        *this, _node, static_cast<int>(_vis.size()), reliability, send_cq,
-        recv_cq));
-    _vis.push_back(std::move(vi));
-    return _vis.back().get();
+    int id = static_cast<int>(_vis.size());
+    return &_vis.emplace_with([&] {
+        return VirtualInterface(*this, _node, id, reliability, send_cq,
+                                recv_cq);
+    });
 }
 
 void

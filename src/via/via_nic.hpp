@@ -20,11 +20,10 @@
 #define PRESS_VIA_VIA_NIC_HPP
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "net/fabric.hpp"
 #include "sim/simulator.hpp"
+#include "util/chunked_vector.hpp"
 #include "via/memory.hpp"
 #include "via/virtual_interface.hpp"
 
@@ -155,7 +154,9 @@ class ViaNic
     net::NodeId _node;
     PostCosts _costs;
     MemoryRegistry _memory;
-    std::vector<std::unique_ptr<VirtualInterface>> _vis;
+    /** Every VI this NIC created, in id order; chunked, so the pointers
+     *  createVi() hands out stay valid. */
+    util::ChunkedVector<VirtualInterface> _vis;
     ViaNicStats _stats;
     ViaObserver *_observer = nullptr;
 };

@@ -146,10 +146,10 @@ class VirtualInterface
     net::NodeId _node;
     int _id;
     Reliability _reliability;
+    bool _broken = false;
     CompletionQueue *_sendCq;
     CompletionQueue *_recvCq;
     VirtualInterface *_peer = nullptr;
-    bool _broken = false;
 
     /** One receive-queue entry: an explicit descriptor (count 1), or
      *  count buffers of one shape (desc null). */

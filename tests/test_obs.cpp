@@ -298,6 +298,49 @@ TEST(TracedCluster, RerunsAreByteIdentical)
     EXPECT_EQ(pa.str(), pb.str());
 }
 
+TEST(TracedCluster, StallCounterMatchesStallInstants)
+{
+    // ViaComm, not the credit gate, traces a stalled acquire: every
+    // comm.stalls increment must come with exactly one CommStall
+    // instant. A 2-slot window under per-change load broadcasts stalls
+    // often; the ring is sized so no event is dropped, and there is no
+    // warm-up, whose end would reset the counter but not the ring.
+    workload::TraceSpec spec = workload::clarknetSpec();
+    spec.numRequests = 3000;
+    spec.numFiles = 800;
+    workload::Trace trace = workload::generateTrace(spec);
+
+    core::PressConfig config;
+    config.nodes = 8;
+    config.protocol = core::Protocol::ViaClan;
+    config.version = core::Version::V0;
+    config.dissemination = core::Dissemination::broadcast(1);
+    config.controlWindow = 2;
+    config.warmupFraction = 0;
+    config.trace = true;
+    config.traceEventsPerNode = 1u << 17;
+
+    core::PressCluster cluster(config, trace);
+    core::ClusterResults r = cluster.run();
+    ASSERT_TRUE(r.trace);
+    const obs::TraceData &data = *r.trace;
+
+    std::uint64_t instants = 0;
+    for (std::size_t n = 0; n < data.events.size(); ++n) {
+        ASSERT_EQ(data.events[n].size(), data.emitted[n])
+            << "node " << n << " dropped trace events";
+        for (const obs::TraceEvent &e : data.events[n])
+            instants += e.code == obs::Ev::CommStall &&
+                        e.phase == obs::Phase::Instant;
+    }
+    std::uint64_t counted = 0;
+    for (const obs::MetricSample &m : data.metrics)
+        if (m.name == "comm.stalls" && m.node >= 0)
+            counted += m.value;
+    EXPECT_GT(counted, 0u);
+    EXPECT_EQ(counted, instants);
+}
+
 TEST(TraceIo, RoundTripPreservesEverything)
 {
     core::ClusterResults r = tracedRun(512);

@@ -2,11 +2,13 @@
  * @file
  * Tests for util::RingQueue: FIFO order across wraparound, growth while
  * wrapped, and move-only element support — the properties the simulator
- * hot paths (resource queues, credit backlogs, pending sends) rely on.
+ * hot paths (resource queues, credit backlogs, pending sends) rely on —
+ * plus the 32-bit indices of the compact layout.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "util/ring_queue.hpp"
@@ -146,4 +148,89 @@ TEST(RingQueue, BackIsTheNewestAcrossGrowthFromOneSlot)
         q.pop_front();
     }
     EXPECT_TRUE(q.empty());
+}
+
+TEST(RingQueue, ThirtyTwoBitIndicesWrapPastSixteenBits)
+{
+    // The head is a 32-bit index masked on every step. Cycle far more
+    // elements than 2^16 through a queue that never grows past its
+    // first buffer: order and size must hold across every wrap of the
+    // low bits.
+    RingQueue<std::uint32_t> q;
+    std::uint32_t next_in = 0;
+    std::uint32_t next_out = 0;
+    for (int i = 0; i < 5; ++i)
+        q.push_back(next_in++);
+    for (std::uint32_t cycle = 0; cycle < (1u << 16) + 4099; ++cycle) {
+        q.push_back(next_in++);
+        ASSERT_EQ(q.front(), next_out);
+        q.pop_front();
+        ++next_out;
+        ASSERT_EQ(q.size(), 5u);
+        ASSERT_EQ(q.back(), next_in - 1);
+    }
+    while (!q.empty()) {
+        EXPECT_EQ(q.front(), next_out++);
+        q.pop_front();
+    }
+    EXPECT_EQ(next_out, next_in);
+}
+
+namespace {
+
+/** Push 1..n as move-only values while draining a third of them, then
+ *  check the rest come out in order: growth must move every live
+ *  element exactly once, from any first buffer. */
+template <std::size_t FirstSlots>
+void
+growWithMoveOnly(int n)
+{
+    RingQueue<std::unique_ptr<int>, FirstSlots> q;
+    int next_out = 1;
+    for (int i = 1; i <= n; ++i) {
+        q.push_back(std::make_unique<int>(i));
+        ASSERT_EQ(*q.back(), i);
+        if (i % 3 == 0) {
+            std::unique_ptr<int> out = std::move(q.front());
+            q.pop_front();
+            ASSERT_TRUE(out);
+            ASSERT_EQ(*out, next_out++);
+        }
+    }
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(n - n / 3));
+    while (!q.empty()) {
+        ASSERT_TRUE(q.front());
+        EXPECT_EQ(*q.front(), next_out++);
+        q.pop_front();
+    }
+    EXPECT_EQ(next_out, n + 1);
+}
+
+} // namespace
+
+TEST(RingQueue, GrowsFromOneSlotWithMoveOnlyElements)
+{
+    growWithMoveOnly<1>(700);
+}
+
+TEST(RingQueue, GrowsFromEightSlotsWithMoveOnlyElements)
+{
+    growWithMoveOnly<8>(700);
+}
+
+TEST(RingQueue, MoveTransfersTheBufferAndLiveElements)
+{
+    RingQueue<std::unique_ptr<int>, 1> a;
+    for (int i = 0; i < 5; ++i)
+        a.push_back(std::make_unique<int>(i));
+    a.pop_front();
+    RingQueue<std::unique_ptr<int>, 1> b(std::move(a));
+    EXPECT_TRUE(a.empty()); // NOLINT: moved-from state is specified
+    a.push_back(std::make_unique<int>(42)); // usable again
+    EXPECT_EQ(*a.front(), 42);
+    ASSERT_EQ(b.size(), 4u);
+    for (int want = 1; want < 5; ++want) {
+        EXPECT_EQ(*b.front(), want);
+        b.pop_front();
+    }
 }
