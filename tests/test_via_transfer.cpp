@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -509,4 +511,92 @@ TEST(ViaTransfer, DisconnectFlushesEveryCountedBuffer)
         flushed.push_back(std::move(c->desc));
     }
     EXPECT_EQ(flushed.size(), N);
+}
+
+/**
+ * PRESS's RMW ring discipline over payload handles: fixed-size slots,
+ * a message's sequence number travels with its payload, and write k
+ * lands in slot k % Slots. Because VIA delivers in post order on one VI,
+ * a reader that sees seq == expected in the expected slot can trust
+ * that slot's payload. Writes are posted in bursts longer than the
+ * ring, so a reordered delivery leaves a stale sequence number behind.
+ */
+TEST(ViaTransfer, SequenceNumberRingProtocol)
+{
+    constexpr std::uint64_t SlotBytes = 64;
+    constexpr std::uint32_t Slots = 4;
+    struct SlotWord {
+        std::uint32_t seq;
+        std::uint32_t fill;
+    };
+    Harness h;
+    auto *va = h.pair(via::Reliability::ReliableDelivery);
+    auto src = h.nicA.registerMemory(SlotBytes);
+    std::vector<std::uint32_t> slot_seq(Slots, UINT32_MAX);
+    std::vector<std::uint32_t> slot_fill(Slots, 0);
+    std::uint32_t expected = 0;
+    int writes_seen = 0;
+    auto ring = h.nicB.registerMemory(
+        SlotBytes * Slots,
+        [&](std::uint64_t off, std::uint64_t len, const via::Payload &p,
+            std::uint32_t imm) {
+            const auto *w = payloadAs<SlotWord>(p);
+            ASSERT_NE(w, nullptr);
+            // Reader side: the next sequence number, in its own slot.
+            EXPECT_EQ(w->seq, expected);
+            EXPECT_EQ(off, (w->seq % Slots) * SlotBytes);
+            EXPECT_EQ(len, SlotBytes);
+            EXPECT_EQ(imm, w->seq);
+            std::uint64_t slot = off / SlotBytes;
+            ASSERT_LT(slot, Slots);
+            slot_seq[slot] = w->seq;
+            slot_fill[slot] = w->fill;
+            ++expected;
+            ++writes_seen;
+        });
+
+    auto post_slot = [&](std::uint32_t seq) {
+        via::Address target = ring.base + (seq % Slots) * SlotBytes;
+        va->postSend(via::makeRdmaWrite(
+            src.base, SlotBytes, target,
+            makePayload(SlotWord{seq, 0xA0 + seq}), seq));
+    };
+
+    std::uint32_t seq = 0;
+    for (std::uint32_t burst : {1u, 3u, 6u, 10u}) {
+        for (std::uint32_t i = 0; i < burst; ++i)
+            post_slot(seq++);
+        h.sim.run();
+        // Every slot holds the newest write aimed at it.
+        for (std::uint32_t last = seq - std::min(seq, Slots); last < seq;
+             ++last) {
+            EXPECT_EQ(slot_seq[last % Slots], last);
+            EXPECT_EQ(slot_fill[last % Slots], 0xA0 + last);
+        }
+    }
+    EXPECT_EQ(writes_seen, 20);
+    EXPECT_EQ(expected, seq);
+}
+
+TEST(ViaTransfer, OverwriteSemanticsOfRmwWords)
+{
+    // Flow-control words may be overwritten freely: the last write
+    // wins, exactly like real memory.
+    Harness h;
+    auto *va = h.pair(via::Reliability::ReliableDelivery);
+    auto src = h.nicA.registerMemory(64);
+    std::vector<int> seen;
+    auto word = h.nicB.registerMemory(
+        64, [&](std::uint64_t off, std::uint64_t, const via::Payload &p,
+                std::uint32_t) {
+            EXPECT_EQ(off, 8u);
+            seen.push_back(*payloadAs<int>(p));
+        });
+    for (int v : {1, 2, 3})
+        va->postSend(via::makeRdmaWrite(src.base, 4, word.base + 8,
+                                        makePayload(v)));
+    h.sim.run();
+    ASSERT_FALSE(seen.empty());
+    EXPECT_EQ(seen.back(), 3);
+    EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
 }
