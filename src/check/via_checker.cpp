@@ -147,7 +147,7 @@ ViaChecker::clear()
 
 void
 ViaChecker::onRegister(const MemoryRegistry &registry,
-                       const via::MemoryRegion &region, bool)
+                       const via::MemoryRegion &region)
 {
     stateFor(registry).live[region.handle] = region;
 }

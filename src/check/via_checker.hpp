@@ -140,7 +140,7 @@ class ViaChecker : public via::ViaObserver
 
     // ---- via::ViaObserver interface ----
     void onRegister(const via::MemoryRegistry &registry,
-                    const via::MemoryRegion &region, bool backed) override;
+                    const via::MemoryRegion &region) override;
     void onDeregister(const via::MemoryRegistry &registry,
                       via::MemoryHandle handle, bool known) override;
     void onPostSend(const via::VirtualInterface &vi,

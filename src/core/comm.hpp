@@ -75,7 +75,7 @@ struct CommStats {
 /** Upcall for messages arriving from other nodes. */
 using MessageHandler = std::function<void(const Incoming &)>;
 
-/** Supplies the node's current load for piggy-backing. */
+/** Supplies the node's current load to piggy-back on messages. */
 using LoadProvider = std::function<int()>;
 
 /** One node's end of the intra-cluster communication substrate. */
@@ -240,7 +240,7 @@ class ClusterComm
             _handler(incoming);
     }
 
-    /** Current load for piggy-backing; -1 when piggy-backing is off. */
+    /** Current load to piggy-back; -1 when no load is piggy-backed. */
     int
     piggyLoad() const
     {

@@ -65,7 +65,7 @@ struct ViaComm::Peer {
     // ---- receiver side: per Region, the base of the local region this
     // peer writes into (0 when none is registered) ----
     std::array<Address, NumRegions> local{};
-    Address recvBufs = 0; ///< backing for pre-posted recv buffers
+    Address recvBufs = 0; ///< region of the pre-posted recv buffers
     Address staging = 0;  ///< send-side bounce buffers toward the peer
 
     // Credits owed back to the peer for what we consumed, per
@@ -128,7 +128,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     // A receive thread exists whenever some body this configuration
     // sends still travels as a regular two-sided send (Section 3.4:
     // "this version does not require a receive thread" only from V3
-    // on, with piggy-backing). Load bodies exist only under the
+    // on, with piggy-backed loads). Load bodies exist only under the
     // dissemination kinds that send them.
     for (std::size_t i = 0; i < _pathOf.size(); ++i)
         _recvThreadNeeded |=

@@ -44,10 +44,7 @@ class ViaObserver
     virtual ~ViaObserver() = default;
 
     /** A region was registered (pinned). */
-    virtual void
-    onRegister(const MemoryRegistry &, const MemoryRegion &, bool /*backed*/)
-    {
-    }
+    virtual void onRegister(const MemoryRegistry &, const MemoryRegion &) {}
 
     /** deregister() was called; @p known is false for unknown handles. */
     virtual void

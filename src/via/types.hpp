@@ -37,12 +37,11 @@ using MemoryHandle = std::uint32_t;
 /** Simulation stand-in for message bytes. */
 using Payload = net::Payload;
 
-/** VIA reliability levels (VIA spec section 2; cLAN supports the
- *  first two). */
+/** VIA reliability levels (VIA spec section 2): the two cLAN
+ *  provides. */
 enum class Reliability {
-    Unreliable,        ///< messages may be dropped silently
-    ReliableDelivery,  ///< exactly-once, in-order, errors reported
-    ReliableReception, ///< delivery confirmed at target memory
+    Unreliable,       ///< messages may be dropped silently
+    ReliableDelivery, ///< exactly-once, in-order, errors reported
 };
 
 /** Descriptor operation. */

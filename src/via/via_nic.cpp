@@ -1,4 +1,3 @@
-#include <cstdio>
 #include "via_nic.hpp"
 
 #include "util/logging.hpp"
@@ -32,12 +31,6 @@ MemoryRegion
 ViaNic::registerMemory(std::uint64_t size, WriteHook hook)
 {
     return _memory.registerMemory(size, std::move(hook));
-}
-
-MemoryRegion
-ViaNic::registerBacked(std::uint64_t size, WriteHook hook)
-{
-    return _memory.registerBacked(size, std::move(hook));
 }
 
 bool
@@ -132,8 +125,7 @@ ViaNic::processSend(VirtualInterface &vi, DescriptorPtr desc)
             /*on_tx_done=*/
             [src, desc]() { src->completeSend(desc, Status::Complete); });
     } else {
-        // Reliable delivery (and reception, which cLAN lacks but the
-        // library supports): completion only after arrival.
+        // Reliable delivery: completion only after arrival.
         _fabric.send(_node, peer->node(), wire_bytes,
                      [this, peer, src, desc, rel]() {
                          if (desc->op == Opcode::Send)
@@ -194,12 +186,6 @@ ViaNic::arriveSend(VirtualInterface &dst_vi, DescriptorPtr src_desc,
         return;
     }
 
-    // Move real bytes when both buffers are backed (library-level use);
-    // server simulations use plain regions and skip the copy.
-    MemoryRegistry::dmaCopy(src_vi.nic()._memory, src_desc->localAddr,
-                            dst_nic._memory, recv->localAddr,
-                            src_desc->length);
-
     recv->status = Status::Complete;
     recv->bytesDone = src_desc->length;
     recv->payload = src_desc->payload;
@@ -226,9 +212,6 @@ ViaNic::arriveRdma(VirtualInterface &dst_vi, DescriptorPtr src_desc,
         return;
     }
 
-    MemoryRegistry::dmaCopy(src_vi.nic()._memory, src_desc->localAddr,
-                            dst_nic._memory, src_desc->remoteAddr,
-                            src_desc->length);
     bool ok = dst_nic._memory.deliverWrite(src_desc->remoteAddr,
                                            src_desc->length,
                                            src_desc->payload,

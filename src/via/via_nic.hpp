@@ -76,10 +76,6 @@ class ViaNic
     /** Register (pin) memory; see MemoryRegistry::registerMemory. */
     MemoryRegion registerMemory(std::uint64_t size, WriteHook hook = {});
 
-    /** Register memory with real backing bytes; see
-     *  MemoryRegistry::registerBacked. */
-    MemoryRegion registerBacked(std::uint64_t size, WriteHook hook = {});
-
     /** Deregister a region. */
     bool deregister(MemoryHandle handle);
 

@@ -176,7 +176,7 @@ TEST(ClusterIntegration, PiggyBackBeatsAggressiveBroadcast)
     l1.dissemination = Dissemination::broadcast(1);
     auto rpb = PressCluster(pb, trace).run();
     auto rl1 = PressCluster(l1, trace).run();
-    // Figure 4: piggy-backing wins, and L1 sends vastly more load
+    // Figure 4: piggy-backed loads win, and L1 sends vastly more load
     // messages.
     EXPECT_GT(rpb.throughput, rl1.throughput);
     EXPECT_EQ(rpb.comm.of(MsgKind::Load).msgs, 0u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the comm backends (TCP and VIA V0-V5) in isolation: message
- * delivery, piggy-backing, traffic accounting (Tables 2/4 semantics),
+ * delivery, piggy-backed loads, traffic accounting (Tables 2/4 semantics),
  * and flow control.
  */
 

@@ -34,6 +34,22 @@ TEST(MemoryRegistry, FindExactAndInterior)
     EXPECT_FALSE(reg.find(r.base + 4096, 1).has_value());
 }
 
+TEST(MemoryRegistry, FindReturnsTheWholeRegion)
+{
+    MemoryRegistry reg;
+    reg.registerMemory(64);
+    auto r = reg.registerMemory(4096);
+    auto found = reg.find(r.base + 1000, 8);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->handle, r.handle);
+    EXPECT_EQ(found->base, r.base);
+    EXPECT_EQ(found->size, 4096u);
+    // The one-past-the-end address holds an empty range, as before.
+    EXPECT_TRUE(reg.find(r.base + 4096, 0).has_value());
+    ASSERT_TRUE(reg.deregister(r.handle));
+    EXPECT_FALSE(reg.find(r.base, 0).has_value());
+}
+
 TEST(MemoryRegistry, DeregisterRemovesRegion)
 {
     MemoryRegistry reg;
@@ -42,17 +58,6 @@ TEST(MemoryRegistry, DeregisterRemovesRegion)
     EXPECT_FALSE(reg.find(r.base, 1).has_value());
     EXPECT_FALSE(reg.deregister(r.handle)); // second time fails
     EXPECT_EQ(reg.regions(), 0u);
-}
-
-TEST(MemoryRegistry, PinnedBytesArePageRounded)
-{
-    MemoryRegistry reg;
-    reg.registerMemory(1);
-    EXPECT_EQ(reg.pinnedBytes(), 4096u);
-    auto r = reg.registerMemory(4097);
-    EXPECT_EQ(reg.pinnedBytes(), 4096u + 8192u);
-    reg.deregister(r.handle);
-    EXPECT_EQ(reg.pinnedBytes(), 4096u);
 }
 
 TEST(MemoryRegistry, WriteHookFiresWithOffset)
@@ -160,42 +165,4 @@ TEST(MemoryRegistry, DeregisteredBaseNeverReturns)
     EXPECT_FALSE(reg.deliverWrite(gone.base, 8, nullptr, 0));
     EXPECT_FALSE(reg.deregister(gone.handle));
     EXPECT_EQ(reg.regions(), 50u);
-}
-
-TEST(MemoryRegistry, DmaCopyBetweenBackedOnlyAndCountsStayRight)
-{
-    MemoryRegistry src;
-    MemoryRegistry dst;
-    auto s = src.registerBacked(4096);
-    auto plain_src = src.registerMemory(4096);
-    auto d1 = dst.registerBacked(4096);
-    auto plain_dst = dst.registerMemory(4096);
-    const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8};
-    src.store(s.base + 16, bytes);
-
-    MemoryRegistry::dmaCopy(src, s.base + 16, dst, d1.base + 32, 8);
-    EXPECT_EQ(dst.fetch(d1.base + 32, 8), bytes);
-
-    // Either end plain: metadata only, nothing moves and nothing faults.
-    MemoryRegistry::dmaCopy(src, s.base + 16, dst, plain_dst.base, 8);
-    MemoryRegistry::dmaCopy(src, plain_src.base, dst, d1.base, 8);
-    EXPECT_EQ(dst.fetch(d1.base, 8), std::vector<std::uint8_t>(8, 0));
-
-    // Dropping a plain region must not touch the backed count...
-    ASSERT_TRUE(dst.deregister(plain_dst.handle));
-    MemoryRegistry::dmaCopy(src, s.base + 16, dst, d1.base + 64, 8);
-    EXPECT_EQ(dst.fetch(d1.base + 64, 8), bytes);
-
-    // ...and dropping a backed one leaves the others copying.
-    auto d2 = dst.registerBacked(4096);
-    ASSERT_TRUE(dst.deregister(d1.handle));
-    MemoryRegistry::dmaCopy(src, s.base + 16, dst, d2.base, 8);
-    EXPECT_EQ(dst.fetch(d2.base, 8), bytes);
-
-    // No backed region left on one side: a copy is a no-op.
-    ASSERT_TRUE(dst.deregister(d2.handle));
-    auto plain_again = dst.registerMemory(4096);
-    MemoryRegistry::dmaCopy(src, s.base + 16, dst, plain_again.base, 8);
-    EXPECT_FALSE(dst.isBacked(plain_again.base));
-    EXPECT_EQ(dst.regions(), 1u);
 }
