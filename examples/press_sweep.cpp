@@ -124,12 +124,10 @@ main(int argc, char **argv)
             util::fatal("unknown option ", argv[i]);
     }
 
-    workload::TraceSpec spec =
-        trace_name == "forth"     ? workload::forthSpec()
-        : trace_name == "nasa"    ? workload::nasaSpec()
-        : trace_name == "rutgers" ? workload::rutgersSpec()
-                                  : workload::clarknetSpec();
-    workload::Trace trace = workload::generateTrace(spec);
+    auto spec = workload::findPaperTrace(trace_name);
+    if (!spec)
+        util::fatal("unknown trace ", trace_name);
+    workload::Trace trace = workload::generateTrace(*spec);
 
     bench::Options opts;
     opts.jobs = jobs;

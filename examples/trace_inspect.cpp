@@ -78,14 +78,12 @@ main(int argc, char **argv)
     if (!load_path.empty()) {
         trace = workload::Trace::loadFile(load_path);
     } else {
-        workload::TraceSpec spec =
-            trace_name == "forth"     ? workload::forthSpec()
-            : trace_name == "nasa"    ? workload::nasaSpec()
-            : trace_name == "rutgers" ? workload::rutgersSpec()
-                                      : workload::clarknetSpec();
+        auto spec = workload::findPaperTrace(trace_name);
+        if (!spec)
+            util::fatal("unknown trace ", trace_name);
         if (requests)
-            spec.numRequests = requests;
-        trace = workload::generateTrace(spec);
+            spec->numRequests = requests;
+        trace = workload::generateTrace(*spec);
     }
 
     std::cout << "== " << trace.name << " ==\n\n";

@@ -51,9 +51,14 @@ main(int argc, char **argv)
             save_path = util::cliValue(argc, argv, i);
         } else if (!std::strcmp(argv[i], "--proto")) {
             std::string p = util::cliValue(argc, argv, i);
-            config.protocol = p == "tcpfe" ? Protocol::TcpFastEthernet
-                              : p == "tcpclan" ? Protocol::TcpClan
-                                               : Protocol::ViaClan;
+            if (p == "via")
+                config.protocol = Protocol::ViaClan;
+            else if (p == "tcpclan")
+                config.protocol = Protocol::TcpClan;
+            else if (p == "tcpfe")
+                config.protocol = Protocol::TcpFastEthernet;
+            else
+                util::fatal("unknown protocol ", p);
         } else if (!std::strcmp(argv[i], "--version")) {
             config.version = static_cast<Version>(
                 util::cliInt(argc, argv, i, 0, 5));
@@ -91,10 +96,14 @@ main(int argc, char **argv)
                 util::fatal("unknown directory mode ", d);
         } else if (!std::strcmp(argv[i], "--distribution")) {
             std::string d = util::cliValue(argc, argv, i);
-            config.distribution =
-                d == "oblivious" ? Distribution::LocalOnly
-                : d == "lard"    ? Distribution::FrontEndLard
-                                 : Distribution::LocalityConscious;
+            if (d == "press")
+                config.distribution = Distribution::LocalityConscious;
+            else if (d == "oblivious")
+                config.distribution = Distribution::LocalOnly;
+            else if (d == "lard")
+                config.distribution = Distribution::FrontEndLard;
+            else
+                util::fatal("unknown distribution ", d);
         } else if (!std::strcmp(argv[i], "--requests")) {
             requests = util::cliU64(argc, argv, i);
         } else if (!std::strcmp(argv[i], "--csv")) {
@@ -110,12 +119,10 @@ main(int argc, char **argv)
     if (!load_path.empty()) {
         trace = workload::Trace::loadFile(load_path);
     } else {
-        workload::TraceSpec spec =
-            trace_name == "forth"     ? workload::forthSpec()
-            : trace_name == "nasa"    ? workload::nasaSpec()
-            : trace_name == "rutgers" ? workload::rutgersSpec()
-                                      : workload::clarknetSpec();
-        trace = workload::generateTrace(spec);
+        auto spec = workload::findPaperTrace(trace_name);
+        if (!spec)
+            util::fatal("unknown trace ", trace_name);
+        trace = workload::generateTrace(*spec);
     }
     if (!save_path.empty()) {
         trace.saveFile(save_path);

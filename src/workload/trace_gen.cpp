@@ -1,6 +1,7 @@
 #include "trace_gen.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <numeric>
 
@@ -165,6 +166,16 @@ std::vector<TraceSpec>
 paperTraceSpecs()
 {
     return {clarknetSpec(), forthSpec(), nasaSpec(), rutgersSpec()};
+}
+
+std::optional<TraceSpec>
+findPaperTrace(std::string_view name)
+{
+    auto lower = [](unsigned char c) { return std::tolower(c); };
+    for (TraceSpec &spec : paperTraceSpecs())
+        if (std::ranges::equal(spec.name, name, {}, lower, lower))
+            return std::move(spec);
+    return std::nullopt;
 }
 
 } // namespace press::workload

@@ -23,7 +23,9 @@
 #define PRESS_WORKLOAD_TRACE_GEN_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/random.hpp"
 #include "workload/trace.hpp"
@@ -71,6 +73,10 @@ TraceSpec rutgersSpec();
 
 /** The four presets in the paper's figure order. */
 std::vector<TraceSpec> paperTraceSpecs();
+
+/** The paper preset named @p name, ignoring case ("nasa", "Forth");
+ *  nullopt for any other name. */
+std::optional<TraceSpec> findPaperTrace(std::string_view name);
 
 } // namespace press::workload
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "storage/file_cache.hpp"
 #include "workload/trace.hpp"
@@ -89,6 +90,26 @@ TEST_P(PaperTrace, MatchesTable1)
 
 INSTANTIATE_TEST_SUITE_P(Table1, PaperTrace,
                          ::testing::Values(0, 1, 2, 3));
+
+TEST(TraceGen, FindPaperTraceIgnoresCaseAndMissesUnknownNames)
+{
+    const std::pair<const char *, TraceSpec> hits[] = {
+        {"clarknet", clarknetSpec()},
+        {"FORTH", forthSpec()},
+        {"Nasa", nasaSpec()},
+        {"rutgers", rutgersSpec()},
+    };
+    for (const auto &[name, want] : hits) {
+        auto got = findPaperTrace(name);
+        ASSERT_TRUE(got.has_value()) << name;
+        EXPECT_EQ(got->name, want.name);
+        EXPECT_EQ(got->seed, want.seed);
+        EXPECT_EQ(got->numRequests, want.numRequests);
+    }
+    EXPECT_FALSE(findPaperTrace("forht").has_value());
+    EXPECT_FALSE(findPaperTrace("").has_value());
+    EXPECT_FALSE(findPaperTrace("nasa ").has_value());
+}
 
 TEST(Trace, SaveLoadRoundTrip)
 {
