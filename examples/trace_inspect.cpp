@@ -10,8 +10,8 @@
  * node (or the cluster) needs for any target hit rate, the quantity
  * PRESS's whole design revolves around.
  *
- * Usage: trace_inspect [--trace clarknet|forth|nasa|rutgers]
- *                      [--load FILE] [--requests N]
+ * Usage: trace_inspect [--trace clarknet|forth|nasa|rutgers | --load FILE]
+ *                      [--requests N]
  */
 
 #include <algorithm>
@@ -63,17 +63,22 @@ main(int argc, char **argv)
 {
     std::string trace_name = "clarknet", load_path;
     std::uint64_t requests = 0;
+    bool trace_given = false;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trace"))
+        if (!std::strcmp(argv[i], "--trace")) {
             trace_name = util::cliValue(argc, argv, i);
-        else if (!std::strcmp(argv[i], "--load"))
+            trace_given = true;
+        } else if (!std::strcmp(argv[i], "--load")) {
             load_path = util::cliValue(argc, argv, i);
-        else if (!std::strcmp(argv[i], "--requests"))
+        } else if (!std::strcmp(argv[i], "--requests")) {
             requests = util::cliU64(argc, argv, i);
-        else
+        } else {
             util::fatal("unknown option ", argv[i]);
+        }
     }
 
+    if (trace_given && !load_path.empty())
+        util::fatal("--trace and --load are exclusive");
     workload::Trace trace;
     if (!load_path.empty()) {
         trace = workload::Trace::loadFile(load_path);

@@ -38,13 +38,14 @@ main(int argc, char **argv)
 {
     std::string trace_name = "clarknet";
     std::string load_path, save_path, csv_path;
-    bool stats_dump = false;
+    bool trace_given = false, stats_dump = false;
     PressConfig config;
     std::uint64_t requests = 400000;
 
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--trace")) {
             trace_name = util::cliValue(argc, argv, i);
+            trace_given = true;
         } else if (!std::strcmp(argv[i], "--load")) {
             load_path = util::cliValue(argc, argv, i);
         } else if (!std::strcmp(argv[i], "--save")) {
@@ -115,6 +116,8 @@ main(int argc, char **argv)
         }
     }
 
+    if (trace_given && !load_path.empty())
+        util::fatal("--trace and --load are exclusive");
     workload::Trace trace;
     if (!load_path.empty()) {
         trace = workload::Trace::loadFile(load_path);
