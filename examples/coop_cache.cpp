@@ -14,6 +14,10 @@
  * storage/osnode libraries.
  *
  * Usage: coop_cache [blocks] [requests]
+ *
+ * Exits 1 unless every node's local hits, remote fetches and disk
+ * reads add up to the reads it served, and remote memory served more
+ * reads than the disks did.
  */
 
 #include <cstdlib>
@@ -188,12 +192,15 @@ main(int argc, char **argv)
     util::Rng rng(99);
     util::ZipfSampler zipf(blocks, 0.8);
     int remaining = requests;
+    std::vector<std::uint64_t> served(Nodes, 0);
     std::function<void(int)> next = [&](int n) {
         if (remaining-- <= 0)
             return;
         auto block = static_cast<std::uint32_t>(zipf.sample(rng));
-        nodes[n]->read(block, [&, n]() { next(n); },
-                       nodes);
+        nodes[n]->read(block, [&, n]() {
+            ++served[n];
+            next(n);
+        }, nodes);
     };
     for (int n = 0; n < Nodes; ++n)
         for (int c = 0; c < 16; ++c)
@@ -203,6 +210,7 @@ main(int argc, char **argv)
     util::TextTable t;
     t.header({"node", "local hits", "remote fetches", "disk reads"});
     std::uint64_t hits = 0, remote = 0, disk = 0;
+    bool ok = true;
     for (auto *n : nodes) {
         t.row({std::to_string(n->id), util::fmtInt(n->localHits),
                util::fmtInt(n->remoteFetches),
@@ -210,6 +218,14 @@ main(int argc, char **argv)
         hits += n->localHits;
         remote += n->remoteFetches;
         disk += n->diskReads;
+        if (n->localHits + n->remoteFetches + n->diskReads !=
+            served[n->id]) {
+            std::cerr << "node " << n->id << " served " << served[n->id]
+                      << " reads but accounts for "
+                      << n->localHits + n->remoteFetches + n->diskReads
+                      << "\n";
+            ok = false;
+        }
     }
     std::cout << "cooperative block cache over VIA RMW: " << requests
               << " reads, " << sim::nsToSeconds(sim.now())
@@ -221,7 +237,12 @@ main(int argc, char **argv)
               << util::fmtPct(disk / total)
               << " — remote memory keeps the disks idle, the paper's "
                  "core premise.\n";
+    if (remote <= disk) {
+        std::cerr << "remote fetches (" << remote
+                  << ") do not outnumber disk reads (" << disk << ")\n";
+        ok = false;
+    }
     for (auto *n : nodes)
         delete n;
-    return 0;
+    return ok ? 0 : 1;
 }

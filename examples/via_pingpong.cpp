@@ -7,6 +7,11 @@
  * cLAN numbers).
  *
  * Usage: via_pingpong [iterations]
+ *
+ * Exits 1 when a number leaves the paper's anchor band: the 4 B
+ * one-way send/recv latency must lie within 6-12 us and the 32 KB RMW
+ * stream within 95-112 MB/s. Runs of under ~100 iterations are too
+ * short for the stream to reach its steady rate.
  */
 
 #include <cstdlib>
@@ -98,13 +103,27 @@ main(int argc, char **argv)
     std::cout << "VIA microbenchmarks over the simulated cLAN "
                  "(paper: 9 us 4-byte latency, 102 MB/s at 32 KB)\n\n";
 
+    int misses = 0;
+    auto anchor = [&](const char *what, double v, double lo, double hi) {
+        if (v >= lo && v <= hi)
+            return;
+        std::cerr << what << " " << v << " is outside the paper's band ["
+                  << lo << ", " << hi << "]\n";
+        ++misses;
+    };
+
     util::TextTable t;
     t.header({"size", "send/recv one-way us", "RMW stream MB/s"});
     for (std::uint64_t bytes : {4ull, 64ull, 1024ull, 8192ull, 32000ull}) {
-        t.row({std::to_string(bytes) + " B",
-               util::fmtF(pingPongRegular(bytes, iters), 2),
-               util::fmtF(rmwStream(bytes, iters), 1)});
+        double one_way = pingPongRegular(bytes, iters);
+        double stream = rmwStream(bytes, iters);
+        t.row({std::to_string(bytes) + " B", util::fmtF(one_way, 2),
+               util::fmtF(stream, 1)});
+        if (bytes == 4)
+            anchor("4 B one-way us", one_way, 6, 12);
+        if (bytes == 32000)
+            anchor("32 KB RMW stream MB/s", stream, 95, 112);
     }
     std::cout << t.render();
-    return 0;
+    return misses ? 1 : 0;
 }
