@@ -21,8 +21,8 @@ main()
     std::cout << "== Figure 12: future-system user-level gain (model), "
                  "S = 16 KB ==\n\n";
     bench::hitRateGrid(16e3, [] {
-        return std::pair{model::ModelParams::viaRmwZcFuture(),
-                         model::ModelParams::tcpFuture()};
+        return std::pair{model::future(model::ModelParams::viaRmwZc()),
+                         model::future(model::ModelParams::tcp())};
     });
     std::cout << "\nPaper (Fig. 12): higher gains than Fig. 8; with "
                  "Fig. 13, user-level communication can\nreach ~1.55 on "

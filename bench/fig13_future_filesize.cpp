@@ -17,8 +17,8 @@ main()
     std::cout << "== Figure 13: future-system user-level gain (model), "
                  "hit rate 90% ==\n\n";
     bench::fileSizeGrid([] {
-        return std::pair{model::ModelParams::viaRmwZcFuture(),
-                         model::ModelParams::tcpFuture()};
+        return std::pair{model::future(model::ModelParams::viaRmwZc()),
+                         model::future(model::ModelParams::tcp())};
     });
     std::cout << "\nPaper (Fig. 13): throughput improvement provided by "
                  "user-level communication can reach\n~1.55 for small "

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     double hit = 0.9;
     double files = 0; // 0 = derive from hit rate
     double file_kb = 16.0;
-    bool future = false;
+    bool next_gen = false;
 
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--nodes"))
@@ -40,7 +40,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--file-kb"))
             file_kb = util::cliDouble(argc, argv, i);
         else if (!std::strcmp(argv[i], "--future"))
-            future = true;
+            next_gen = true;
         else
             util::fatal("unknown option ", argv[i]);
     }
@@ -50,10 +50,10 @@ main(int argc, char **argv)
         ModelParams params;
     };
     std::vector<Entry> entries;
-    if (future) {
-        entries = {{"TCP (future)", ModelParams::tcpFuture()},
+    if (next_gen) {
+        entries = {{"TCP (future)", future(ModelParams::tcp())},
                    {"VIA RMW+0cp (future)",
-                    ModelParams::viaRmwZcFuture()}};
+                    future(ModelParams::viaRmwZc())}};
     } else {
         entries = {{"TCP", ModelParams::tcp()},
                    {"VIA regular", ModelParams::via()},
@@ -65,7 +65,7 @@ main(int argc, char **argv)
               << (files > 0 ? "population " + std::to_string(files)
                             : "single-node hit rate " +
                                   util::fmtPct(hit))
-              << (future ? ", next-generation system" : "") << "\n\n";
+              << (next_gen ? ", next-generation system" : "") << "\n\n";
 
     util::TextTable t;
     t.header({"config", "Hlc", "Q", "CPU us", "disk us", "NIint us",
@@ -91,10 +91,12 @@ main(int argc, char **argv)
     }
     std::cout << t.render();
 
-    ModelParams a = future ? ModelParams::viaRmwZcFuture()
-                           : ModelParams::viaRmwZc();
-    ModelParams b = future ? ModelParams::tcpFuture()
-                           : ModelParams::tcp();
+    ModelParams a = ModelParams::viaRmwZc();
+    ModelParams b = ModelParams::tcp();
+    if (next_gen) {
+        a = future(a);
+        b = future(b);
+    }
     a.avgFileBytes = b.avgFileBytes = file_kb * 1000.0;
     double gain = files > 0
                       ? PressModel(a)

@@ -5,115 +5,70 @@ namespace press::model {
 CommCosts
 CommCosts::viaRegular()
 {
-    CommCosts c;
-    c.name = "VIA";
-    c.fwdCost = 1.0 / 31250.0; // 32 us
-    c.sendFixed = 30e-6;       // mu_s = (0.00003 + S/125000)^-1
-    c.sendPerByte = 1.0 / 125e6;
-    c.recvFixed = 30e-6;       // mu_g, same form
-    c.recvPerByte = 1.0 / 125e6;
-    return c;
+    return {.fwdCost = 1.0 / 31250.0, // 32 us
+            .sendFixed = 30e-6,       // mu_s = (0.00003 + S/125000)^-1
+            .sendPerByte = 1.0 / 125e6,
+            .recvFixed = 30e-6,       // mu_g, same form
+            .recvPerByte = 1.0 / 125e6};
 }
 
 CommCosts
 CommCosts::viaRmwZeroCopy()
 {
-    CommCosts c;
-    c.name = "VIA-RMW-0cp";
     // Forwards become remote writes polled by the main loop: the
     // send-thread handoff cost remains, the receive interrupt does not.
-    c.fwdCost = 1.0 / 31250.0;
-    // Zero-copy send: two RMW posts, no buffer copy.
-    c.sendFixed = 15e-6;
-    c.sendPerByte = 0;
-    // Zero-copy receive: a successful poll, no interrupt, no copy.
-    c.recvFixed = 5e-6;
-    c.recvPerByte = 0;
-    c.fileTwoMessages = true; // data + metadata per file
-    return c;
+    // Zero-copy send is two RMW posts, no buffer copy; zero-copy
+    // receive is a successful poll, no interrupt, no copy.
+    return {.fwdCost = 1.0 / 31250.0,
+            .sendFixed = 15e-6,
+            .sendPerByte = 0,
+            .recvFixed = 5e-6,
+            .recvPerByte = 0,
+            .fileTwoMessages = true}; // data + metadata per file
 }
 
 CommCosts
 CommCosts::tcp()
 {
-    CommCosts c;
-    c.name = "TCP";
-    c.fwdCost = 1.0 / 3676.0; // 272 us
-    c.sendFixed = 270e-6;     // mu_s = (0.00027 + S/125000)^-1
-    c.sendPerByte = 1.0 / 125e6;
-    c.recvFixed = 270e-6;     // mu_g
-    c.recvPerByte = 1.0 / 125e6;
-    return c;
-}
-
-CommCosts
-CommCosts::tcpFuture()
-{
-    CommCosts c = tcp();
-    c.name = "TCP-future";
-    // Section 4.2: halve the fixed cost of the TCP versions of mu_f,
-    // mu_s and mu_g (IO-Lite-style zero-copy kernel paths).
-    c.fwdCost /= 2;
-    c.sendFixed /= 2;
-    c.recvFixed /= 2;
-    return c;
+    return {.fwdCost = 1.0 / 3676.0, // 272 us
+            .sendFixed = 270e-6,     // mu_s = (0.00027 + S/125000)^-1
+            .sendPerByte = 1.0 / 125e6,
+            .recvFixed = 270e-6,     // mu_g
+            .recvPerByte = 1.0 / 125e6};
 }
 
 ModelParams
 ModelParams::via()
 {
-    ModelParams p;
-    p.comm = CommCosts::viaRegular();
-    return p;
+    return {.comm = CommCosts::viaRegular()};
 }
 
 ModelParams
 ModelParams::viaRmwZc()
 {
-    ModelParams p;
-    p.comm = CommCosts::viaRmwZeroCopy();
-    return p;
+    return {.comm = CommCosts::viaRmwZeroCopy()};
 }
 
 ModelParams
 ModelParams::tcp()
 {
-    ModelParams p;
-    p.comm = CommCosts::tcp();
-    return p;
-}
-
-namespace {
-
-/** Section 4.2's next-generation system: besides zero-copy kernel
- *  paths, the external network moves to gigabit-class links ("higher
- *  performance communication can be achieved with a higher bandwidth
- *  network and a zero-copy TCP implementation"). */
-void
-makeFuture(ModelParams &p)
-{
-    p.futureClientPath = true;
-    p.niExtBandwidth = 125e6;
-    p.niExtOverhead = 3e-6;
-}
-
-} // namespace
-
-ModelParams
-ModelParams::tcpFuture()
-{
-    ModelParams p;
-    p.comm = CommCosts::tcpFuture();
-    makeFuture(p);
-    return p;
+    return {.comm = CommCosts::tcp()};
 }
 
 ModelParams
-ModelParams::viaRmwZcFuture()
+future(ModelParams p)
 {
-    ModelParams p;
-    p.comm = CommCosts::viaRmwZeroCopy();
-    makeFuture(p);
+    if (p.comm == CommCosts::tcp()) {
+        p.comm.fwdCost /= 2;
+        p.comm.sendFixed /= 2;
+        p.comm.recvFixed /= 2;
+    }
+    // Halving a + S/B as a/2 + S/(2B) is exact: scaling by two commutes
+    // with rounding.
+    p.replyFixed /= 2;
+    p.replyBandwidth *= 2;
+    p.niExtOverhead = p.niIntOverhead;
+    p.niExtBandwidth = p.niIntBandwidth;
     return p;
 }
 

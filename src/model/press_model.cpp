@@ -33,16 +33,6 @@ PressModel::PressModel(ModelParams params, ServerKind kind)
                  "bad model parameters");
 }
 
-double
-PressModel::replyCost(double bytes) const
-{
-    // "Future systems" (Section 4.2): zero-copy client TCP (IO-Lite
-    // style) halves the mu_m parameter — file data is sent to clients
-    // straight out of the pinned cache.
-    double cost = _p.replyFixed + bytes / _p.replyBandwidth;
-    return _p.futureClientPath ? cost / 2 : cost;
-}
-
 Locality
 PressModel::localityFromHitRate(int nodes, double hsn) const
 {
@@ -111,9 +101,10 @@ PressModel::demands(int nodes, const Locality &loc) const
     // file was local or fetched; forward (mu_f) + receive the file
     // (mu_g) for the forwarded share; and act as service node (mu_s)
     // for the symmetric share forwarded here.
+    double reply_cost = _p.replyFixed + s / _p.replyBandwidth;
     double send_cost = cc.sendFixed + cc.sendPerByte * s;
     double recv_cost = cc.recvFixed + cc.recvPerByte * s;
-    d.cpu = _p.parseCost + replyCost(s) +
+    d.cpu = _p.parseCost + reply_cost +
             q * (cc.fwdCost + recv_cost) + q * send_cost;
 
     // Disk: cluster-wide misses.

@@ -95,7 +95,6 @@ class PressModel
     ServerKind kind() const { return _kind; }
 
   private:
-    double replyCost(double bytes) const; ///< 1/mu_m
     Prediction evaluate(int nodes, const Locality &loc) const;
 
     ModelParams _p;

@@ -46,13 +46,15 @@ struct FabricConfig {
     /**
      * Switched Fast Ethernet. 100 Mbit/s links; ~11.75 MB/s effective
      * after framing (the paper observes 11.5 MB/s end-to-end for 32 KB
-     * TCP messages, which includes protocol headers).
+     * TCP messages, which includes protocol headers). Its txOverhead
+     * is the model's external-NIC overhead.
      */
     static FabricConfig fastEthernet();
 
     /**
      * Giganet cLAN. 2.5 Gbit/s links, NIC DMA-limited to ~105 MB/s
-     * (paper: 102 MB/s observed for 32 KB VIA messages).
+     * (paper: 102 MB/s observed for 32 KB VIA messages). Its
+     * txOverhead is the model's internal-NIC overhead.
      */
     static FabricConfig clan();
 };

@@ -26,7 +26,7 @@ struct DiskParams {
     sim::Tick positioning = 0; ///< seek + rotational latency, ns
     double bandwidth = 0;      ///< media transfer rate, bytes/second
 
-    /** The paper's SCSI disk (Table 5). */
+    /** The paper's SCSI disk (Table 5); also the model's 1/mu_d. */
     static DiskParams defaults();
 };
 
