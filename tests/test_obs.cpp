@@ -57,6 +57,30 @@ tracedRun(std::uint32_t ring_capacity = 4096)
     return cluster.run();
 }
 
+/** The metric rows of a 3-node traced run at the default warm-up, as
+ *  "name node value" lines (node -1 is the cluster rollup). */
+std::string
+goldenMetricRows(core::Protocol protocol, core::Version version)
+{
+    workload::TraceSpec spec = workload::clarknetSpec();
+    spec.numRequests = 4000;
+    spec.numFiles = 3000;
+    workload::Trace trace = workload::generateTrace(spec);
+
+    core::PressConfig config;
+    config.nodes = 3;
+    config.protocol = protocol;
+    config.version = version;
+    config.trace = true;
+
+    core::PressCluster cluster(config, trace);
+    core::ClusterResults r = cluster.run();
+    std::ostringstream rows;
+    for (const obs::MetricSample &m : r.trace->metrics)
+        rows << m.name << ' ' << m.node << ' ' << m.value << '\n';
+    return rows.str();
+}
+
 } // namespace
 
 TEST(TraceEvent, Is24BytesPacked)
@@ -339,6 +363,95 @@ TEST(TracedCluster, StallCounterMatchesStallInstants)
             counted += m.value;
     EXPECT_GT(counted, 0u);
     EXPECT_EQ(counted, instants);
+}
+
+TEST(TraceGolden, ViaV5MetricRows)
+{
+    EXPECT_EQ(goldenMetricRows(core::Protocol::ViaClan, core::Version::V5),
+              R"(comm.stalls 0 6
+comm.stalls 1 2
+comm.stalls 2 8
+comm.stalls -1 16
+comm.tx.bytes 0 4047395
+comm.tx.bytes 1 4719965
+comm.tx.bytes 2 6461657
+comm.tx.bytes -1 15229017
+comm.tx.msgs 0 2401
+comm.tx.msgs 1 2405
+comm.tx.msgs 2 2638
+comm.tx.msgs -1 7444
+server.forwards 0 515
+server.forwards 1 471
+server.forwards 2 416
+server.forwards -1 1402
+server.replies 0 1419
+server.replies 1 1423
+server.replies 2 1421
+server.replies -1 4263
+server.requests 0 1319
+server.requests 1 1340
+server.requests 2 1341
+server.requests -1 4000
+cpu.queue_depth 0 41
+cpu.queue_depth 1 32
+cpu.queue_depth 2 55
+cpu.queue_depth -1 55
+disk.queue_depth 0 99
+disk.queue_depth 1 87
+disk.queue_depth 2 82
+disk.queue_depth -1 99
+disk.read_ns 0 205
+disk.read_ns 1 196
+disk.read_ns 2 194
+disk.read_ns -1 595
+server.latency_ns 0 1319
+server.latency_ns 1 1340
+server.latency_ns 2 1341
+server.latency_ns -1 4000
+)");
+}
+
+TEST(TraceGolden, TcpFastEthernetMetricRows)
+{
+    EXPECT_EQ(goldenMetricRows(core::Protocol::TcpFastEthernet,
+                               core::Version::V0),
+              R"(comm.tx.bytes 0 3072368
+comm.tx.bytes 1 4343947
+comm.tx.bytes 2 7532607
+comm.tx.bytes -1 14948922
+comm.tx.msgs 0 1254
+comm.tx.msgs 1 1280
+comm.tx.msgs 2 1430
+comm.tx.msgs -1 3964
+server.forwards 0 505
+server.forwards 1 437
+server.forwards 2 389
+server.forwards -1 1331
+server.replies 0 1420
+server.replies 1 1422
+server.replies 2 1421
+server.replies -1 4263
+server.requests 0 1319
+server.requests 1 1340
+server.requests 2 1341
+server.requests -1 4000
+cpu.queue_depth 0 45
+cpu.queue_depth 1 43
+cpu.queue_depth 2 36
+cpu.queue_depth -1 45
+disk.queue_depth 0 100
+disk.queue_depth 1 83
+disk.queue_depth 2 84
+disk.queue_depth -1 100
+disk.read_ns 0 218
+disk.read_ns 1 218
+disk.read_ns 2 215
+disk.read_ns -1 651
+server.latency_ns 0 1319
+server.latency_ns 1 1340
+server.latency_ns 2 1341
+server.latency_ns -1 4000
+)");
 }
 
 TEST(TraceIo, RoundTripPreservesEverything)
