@@ -231,7 +231,7 @@ PressCluster::PressCluster(const PressConfig &config,
             _probes.push_back(std::make_unique<obs::ResourceProbe>(
                 *_tracer, i, obs::ResourceProbe::Kind::Disk));
             _nodes[i]->disk().resource().setListener(_probes.back().get());
-            _comms[i]->setTracer(_tracer.get(), i);
+            _comms[i]->setTracer(_tracer.get());
             _servers[i]->setTracer(_tracer.get());
         }
     }
@@ -937,6 +937,7 @@ PressCluster::run(std::uint64_t max_requests)
             r.comm.byKind[k].msgs += tx.byKind[k].msgs;
             r.comm.byKind[k].bytes += tx.byKind[k].bytes;
         }
+        r.comm.stalls += tx.stalls;
     }
 
     if (_faultEnabled) {
@@ -1016,6 +1017,46 @@ PressCluster::run(std::uint64_t max_requests)
         for (int i = 0; i < _config.nodes; ++i)
             for (int c = 0; c < osnode::NumCpuCategories; ++c)
                 trace->counterBusy[i][c] = _nodes[i]->cpu().busyTime(c);
+        // Every metric row is read from the counter its layer keeps:
+        // per-node rows, then a cluster rollup (the sum; for the
+        // queue-depth high-water marks, the max).
+        auto rows = [&](const char *name, bool peak, auto value) {
+            std::uint64_t rollup = 0;
+            for (int i = 0; i < _config.nodes; ++i) {
+                std::uint64_t v = value(i);
+                trace->metrics.push_back({name, i, v});
+                rollup = peak ? std::max(rollup, v) : rollup + v;
+            }
+            trace->metrics.push_back({name, -1, rollup});
+        };
+        auto tx = [&](int i) -> const CommStats & {
+            return _comms[i]->txStats();
+        };
+        auto server = [&](int i) -> const ServerStats & {
+            return _servers[i]->stats();
+        };
+        if (_config.protocol == Protocol::ViaClan)
+            rows("comm.stalls", false, [&](int i) { return tx(i).stalls; });
+        rows("comm.tx.bytes", false,
+             [&](int i) { return tx(i).total().bytes; });
+        rows("comm.tx.msgs", false,
+             [&](int i) { return tx(i).total().msgs; });
+        rows("server.forwards", false,
+             [&](int i) { return server(i).forwardedOut; });
+        rows("server.replies", false,
+             [&](int i) { return server(i).replies; });
+        rows("server.requests", false,
+             [&](int i) { return server(i).requests; });
+        rows("cpu.queue_depth", true, [&](int i) {
+            return std::uint64_t{_nodes[i]->cpu().maxDepth()};
+        });
+        rows("disk.queue_depth", true, [&](int i) {
+            return std::uint64_t{_nodes[i]->disk().resource().maxDepth()};
+        });
+        rows("disk.read_ns", false,
+             [&](int i) { return _nodes[i]->disk().reads(); });
+        rows("server.latency_ns", false,
+             [&](int i) { return server(i).latency.count(); });
         r.trace = std::move(trace);
     }
 

@@ -80,8 +80,7 @@ CommStats::total() const
 void
 CommStats::reset()
 {
-    for (auto &k : byKind)
-        k = KindStats{};
+    *this = CommStats{};
 }
 
 CommMesh

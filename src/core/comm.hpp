@@ -56,6 +56,9 @@ struct KindStats {
 /** All five kinds plus totals. */
 struct CommStats {
     std::array<KindStats, static_cast<int>(MsgKind::NumKinds)> byKind;
+    /** Sends that found their credit window empty and queued (VIA
+     *  only; the trace's comm.stalls). */
+    std::uint64_t stalls = 0;
 
     KindStats &
     of(MsgKind k)
@@ -180,25 +183,9 @@ class ClusterComm
     const CommStats &txStats() const { return _tx; }
     CommStats &txStats() { return _tx; }
 
-    /**
-     * Attach the observability hub (null detaches); @p node is this
-     * end's node id. Backends override to instrument their internals
-     * (receive paths, credit arrivals, stalls) but must call the base.
-     */
-    virtual void
-    setTracer(obs::Tracer *tracer, int node)
-    {
-        _tracer = tracer;
-        _traceNode = node;
-        if (tracer) {
-            _txMsgsMetric = &tracer->metrics().counter("comm.tx.msgs", node);
-            _txBytesMetric =
-                &tracer->metrics().counter("comm.tx.bytes", node);
-        } else {
-            _txMsgsMetric = nullptr;
-            _txBytesMetric = nullptr;
-        }
-    }
+    /** Attach the observability hub (null detaches); events are
+     *  recorded under this end's node id. */
+    void setTracer(obs::Tracer *tracer) { _tracer = tracer; }
 
   protected:
     /**
@@ -223,13 +210,9 @@ class ClusterComm
         auto &s = _tx.of(kind);
         ++s.msgs;
         s.bytes += bytes;
-        PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommSend, 0,
+        PRESS_TRACE_INSTANT(_tracer, _node, obs::Ev::CommSend, 0,
                             obs::packKindBytes(static_cast<int>(kind),
                                                bytes));
-        if (_txMsgsMetric) {
-            _txMsgsMetric->add();
-            _txBytesMetric->add(bytes);
-        }
     }
 
     /** Deliver an arrived message to the server. */
@@ -283,9 +266,6 @@ class ClusterComm
     LoadProvider _loadProvider;
     CommStats _tx;
     obs::Tracer *_tracer = nullptr;
-    int _traceNode = 0;
-    obs::Counter *_txMsgsMetric = nullptr;
-    obs::Counter *_txBytesMetric = nullptr;
     std::vector<char> _peerAlive; ///< empty = everyone alive
     bool _selfDown = false;
     std::uint64_t _droppedSends = 0;

@@ -41,24 +41,6 @@ PressServer::PressServer(sim::Simulator &sim, const PressConfig &config,
     _comm.setHandler([this](const Incoming &in) { onMessage(in); });
 }
 
-void
-PressServer::setTracer(obs::Tracer *tracer)
-{
-    _tracer = tracer;
-    if (tracer) {
-        auto &m = tracer->metrics();
-        _requestsMetric = &m.counter("server.requests", _id);
-        _repliesMetric = &m.counter("server.replies", _id);
-        _forwardsMetric = &m.counter("server.forwards", _id);
-        _latencyMetric = &m.histogram("server.latency_ns", _id);
-    } else {
-        _requestsMetric = nullptr;
-        _repliesMetric = nullptr;
-        _forwardsMetric = nullptr;
-        _latencyMetric = nullptr;
-    }
-}
-
 sim::Tick
 PressServer::replyCost(std::uint64_t bytes) const
 {
@@ -99,8 +81,6 @@ PressServer::handleClientRequest(FileId file, ReplyFn on_reply,
 
     PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqLife,
                             obs::requestId(_id, tag), file);
-    if (_requestsMetric)
-        _requestsMetric->add();
 
     sim::Tick cost = _cal.service.parse + _cal.service.loopPass +
                      _comm.perRequestOverhead();
@@ -189,8 +169,6 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
         ++_stats.forwardedOut;
         PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
                                 obs::requestId(_id, tag), file);
-        if (_forwardsMetric)
-            _forwardsMetric->add();
         _comm.send(dst, ForwardMsg{file, tag, _id, route});
         noteAwaiting(tag, dst);
     };
@@ -372,14 +350,10 @@ PressServer::reply(std::uint32_t tag, std::uint64_t file_bytes,
                                 obs::requestId(_id, tag), bytes);
             PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::ReqLife,
                                   obs::requestId(_id, tag), bytes);
-            if (_repliesMetric)
-                _repliesMetric->add();
             if (start >= _statsEpoch) {
                 auto ns = static_cast<double>(_sim.now() - start);
                 _stats.latency.add(ns);
                 _stats.latencyHist.add(ns);
-                if (_latencyMetric)
-                    _latencyMetric->add(ns);
             }
             // Fault mode: a crash zeroes the counter while replies are
             // still in the CPU queue, so clamp instead of going

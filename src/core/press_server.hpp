@@ -144,7 +144,7 @@ class PressServer
     int id() const { return _id; }
 
     /** Attach the observability hub (null detaches). */
-    void setTracer(obs::Tracer *tracer);
+    void setTracer(obs::Tracer *tracer) { _tracer = tracer; }
 
     // --- fault tolerance (driven by Cluster::setupFaults) -------------
 
@@ -314,10 +314,6 @@ class PressServer
     LoadDirectory _loadDir;
 
     obs::Tracer *_tracer = nullptr;
-    obs::Counter *_requestsMetric = nullptr;
-    obs::Counter *_repliesMetric = nullptr;
-    obs::Counter *_forwardsMetric = nullptr;
-    stats::LogHistogram *_latencyMetric = nullptr;
 
     bool _faultActive = false; ///< enableFaultMode() was called
     bool _crashed = false;     ///< this node is currently down

@@ -87,7 +87,7 @@ TcpComm::handleArrival(const net::Payload &payload)
         const auto *w = net::payloadAs<WireMsg>(payload);
         PRESS_ASSERT(w, "foreign payload on PRESS channel");
         PRESS_TRACE_INSTANT(
-            _tracer, _traceNode, obs::Ev::CommRecv, 0,
+            _tracer, _node, obs::Ev::CommRecv, 0,
             obs::packKindBytes(static_cast<int>(w->kind), 0));
         deliver(toIncoming(*w, payload));
     });

@@ -287,14 +287,6 @@ ViaComm::linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms)
     }
 }
 
-void
-ViaComm::setTracer(obs::Tracer *tracer, int node)
-{
-    ClusterComm::setTracer(tracer, node);
-    _stalls =
-        tracer ? &tracer->metrics().counter("comm.stalls", node) : nullptr;
-}
-
 sim::Tick
 ViaComm::copyCost(std::uint64_t bytes) const
 {
@@ -461,11 +453,11 @@ ViaComm::launch(Peer &peer, FlowChannel channel, sim::Tick cpu_cost,
         [this, cpu_cost, put = std::move(put)]() mutable {
             _cpu.submit(cpu_cost, CatIntraComm, std::move(put));
         });
-    if (!ran && _stalls) {
+    if (!ran) {
         // Per (peer, channel): the trace says which window ran dry.
-        PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommStall, 0,
+        ++_tx.stalls;
+        PRESS_TRACE_INSTANT(_tracer, _node, obs::Ev::CommStall, 0,
                             static_cast<std::uint64_t>(channel));
-        _stalls->add();
     }
 }
 
@@ -527,7 +519,7 @@ ViaComm::processRegular(via::DescriptorPtr desc,
     PRESS_ASSERT(w, "foreign payload on PRESS VI");
     MsgKind kind = w->kind;
     std::uint64_t bytes = desc->bytesDone;
-    PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommRecv, 0,
+    PRESS_TRACE_INSTANT(_tracer, _node, obs::Ev::CommRecv, 0,
                         obs::packKindBytes(static_cast<int>(kind), bytes));
 
     // Replenish the buffer immediately (NIC-side, free) so ungated
@@ -557,7 +549,7 @@ ViaComm::fileArrived(Peer &peer, const net::Payload &payload)
     PRESS_ASSERT(file, "file metadata without FileMsg body");
 
     bool zero_copy_rx = static_cast<int>(_config.version) >= 4;
-    PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommRmwWrite, 0,
+    PRESS_TRACE_INSTANT(_tracer, _node, obs::Ev::CommRmwWrite, 0,
                         obs::packKindBytes(
                             static_cast<int>(MsgKind::File), file->bytes));
     // V3: the receive copy frees the ring slot. V4/V5: the slot stays
@@ -577,7 +569,7 @@ ViaComm::consume(Peer &peer, sim::Tick cpu_cost, const net::Payload &payload,
         PRESS_ASSERT(w, "foreign payload on PRESS VI");
         if (trace_poll)
             PRESS_TRACE_INSTANT(
-                _tracer, _traceNode, obs::Ev::CommRmwWrite, 0,
+                _tracer, _node, obs::Ev::CommRmwWrite, 0,
                 obs::packKindBytes(static_cast<int>(w->kind), 0));
         if (const auto *flow = std::get_if<FlowMsg>(&w->body))
             creditArrived(peer, *flow);
@@ -610,7 +602,7 @@ void
 ViaComm::creditArrived(Peer &peer, const FlowMsg &flow)
 {
     PRESS_TRACE_INSTANT(
-        _tracer, _traceNode, obs::Ev::CommCredit, 0,
+        _tracer, _node, obs::Ev::CommCredit, 0,
         obs::packKindBytes(static_cast<int>(flow.channel),
                            static_cast<std::uint64_t>(flow.credits)));
     PRESS_ASSERT(flow.channel < FlowChannel::NumChannels,

@@ -89,9 +89,6 @@ class ViaComm : public ClusterComm
      *  once after constructing every endpoint; each must be a ViaComm. */
     static void linkMesh(std::vector<std::unique_ptr<ClusterComm>> &comms);
 
-    /** Also counts credit-gate stalls (comm.stalls, CommStall). */
-    void setTracer(obs::Tracer *tracer, int node) override;
-
     void fileBufferDone(int from) override;
 
     // Fault transitions (see ClusterComm): VI teardown/revival plus
@@ -224,7 +221,6 @@ class ViaComm : public ClusterComm
      *  from the version and the dissemination config. */
     std::array<Path, std::variant_size_v<Body>> _pathOf;
     bool _recvThreadNeeded = false;
-    obs::Counter *_stalls = nullptr; ///< comm.stalls; null untraced
 };
 
 } // namespace press::core

@@ -102,9 +102,7 @@ dispatchDecisionName(DispatchDecision d)
 
 Tracer::Tracer(sim::Simulator &sim, int nodes, std::size_t ring_capacity,
                std::vector<std::string> categories)
-    : _sim(sim),
-      _categories(std::move(categories)),
-      _metrics(nodes)
+    : _sim(sim), _categories(std::move(categories))
 {
     PRESS_ASSERT(nodes >= 1 && nodes <= 255,
                  "tracer supports 1..255 nodes, got ", nodes);
@@ -121,7 +119,6 @@ Tracer::resetAggregates()
     for (auto &by_cat : _spanBusy)
         for (auto &ns : by_cat)
             ns = 0;
-    _metrics.reset();
 }
 
 TraceData
@@ -137,18 +134,11 @@ Tracer::snapshot() const
     d.spanBusy = _spanBusy;
     d.counterBusy.assign(_rings.size(),
                          std::vector<std::int64_t>(_categories.size(), 0));
-    d.metrics = _metrics.snapshot();
     return d;
 }
 
 ResourceProbe::ResourceProbe(Tracer &tracer, int node, Kind kind)
-    : _tracer(tracer),
-      _node(node),
-      _kind(kind),
-      _depthGauge(tracer.metrics().gauge(
-          kind == Kind::Cpu ? "cpu.queue_depth" : "disk.queue_depth",
-          node)),
-      _diskReadNs(tracer.metrics().histogram("disk.read_ns", node))
+    : _tracer(tracer), _node(node), _kind(kind)
 {
 }
 
@@ -178,7 +168,6 @@ ResourceProbe::jobFinished(const sim::FifoResource &res, int category,
     } else {
         _tracer.spanEnd(_node, Ev::DiskRead, 0,
                         static_cast<std::uint64_t>(busy));
-        _diskReadNs.add(static_cast<double>(busy));
     }
 }
 
@@ -189,7 +178,6 @@ ResourceProbe::depthChanged(const sim::FifoResource &res, std::size_t depth)
     _tracer.counter(_node,
                     _kind == Kind::Cpu ? Ev::CpuDepth : Ev::DiskDepth,
                     depth);
-    _depthGauge.set(static_cast<std::int64_t>(depth));
 }
 
 } // namespace press::obs

@@ -5,10 +5,11 @@
  *
  * One Tracer exists per traced cluster run (none at all when tracing is
  * off — every instrumentation site is a null-pointer test and nothing
- * else). It owns one TraceRing per node, the MetricsRegistry, and the
- * span-derived CPU-time aggregation that lets the Figure-1 breakdown be
- * recomputed from spans and cross-checked against the osnode category
- * counters.
+ * else). It owns one TraceRing per node and the span-derived CPU-time
+ * aggregation that lets the Figure-1 breakdown be recomputed from spans
+ * and cross-checked against the osnode category counters. The metric
+ * rows are not kept here: the cluster reads them from the counters each
+ * layer already owns when it takes the snapshot.
  *
  * Determinism: all timestamps come from the owning Simulator, every
  * cluster run owns a private Tracer, and no wall-clock or host state is
@@ -23,12 +24,18 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
 namespace press::obs {
+
+/** One flattened metric sample (for snapshots and serialization). */
+struct MetricSample {
+    std::string name;        ///< metric name
+    int node = -1;           ///< owning node; -1 = cluster rollup
+    std::uint64_t value = 0; ///< counter value / high-water mark / count
+};
 
 /**
  * A self-contained snapshot of everything a traced run observed: the
@@ -51,10 +58,13 @@ struct TraceData {
      *  exactly. */
     std::vector<std::vector<std::int64_t>> counterBusy;
 
+    /** Per-node rows plus a cluster rollup row per name, read from
+     *  their owners and filled by the cluster: counters, then
+     *  high-water marks, then histogram counts, each sorted by name. */
     std::vector<MetricSample> metrics;
 };
 
-/** The per-cluster trace/metrics hub. */
+/** The per-cluster trace hub. */
 class Tracer
 {
   public:
@@ -117,12 +127,9 @@ class Tracer
             by_cat[static_cast<std::size_t>(category)] += duration;
     }
 
-    /** Zero the span aggregation and metrics at the measurement
-     *  boundary (rings keep their history). */
+    /** Zero the span aggregation at the measurement boundary (rings
+     *  keep their history). */
     void resetAggregates();
-
-    MetricsRegistry &metrics() { return _metrics; }
-    const MetricsRegistry &metrics() const { return _metrics; }
 
     const TraceRing &ring(int node) const
     {
@@ -137,8 +144,8 @@ class Tracer
             .at(static_cast<std::size_t>(category));
     }
 
-    /** Snapshot everything (counterBusy comes back zeroed — the caller
-     *  owns the resource counters and fills it in). */
+    /** Snapshot everything (counterBusy comes back zeroed and metrics
+     *  empty — the caller owns those counters and fills them in). */
     TraceData snapshot() const;
 
   private:
@@ -160,14 +167,13 @@ class Tracer
     std::vector<TraceRing> _rings;
     std::vector<std::string> _categories;
     std::vector<std::vector<std::int64_t>> _spanBusy;
-    MetricsRegistry _metrics;
 };
 
 /**
  * sim::ResourceListener feeding a Tracer: CPU jobs become serial spans
  * attributed by category (the span-derived Figure-1 input), disk jobs
  * become read spans, and every queue movement samples the depth as a
- * counter event plus a high-water gauge.
+ * counter event.
  */
 class ResourceProbe final : public sim::ResourceListener
 {
@@ -186,10 +192,6 @@ class ResourceProbe final : public sim::ResourceListener
     Tracer &_tracer;
     int _node;
     Kind _kind;
-    Gauge &_depthGauge;
-    /** Resolved at construction, keeping the registry's name lookup
-     *  off the per-read path. */
-    stats::LogHistogram &_diskReadNs;
 };
 
 } // namespace press::obs
@@ -212,17 +214,11 @@ class ResourceProbe final : public sim::ResourceListener
     } while (0)
 #endif
 
-#define PRESS_TRACE_SPAN_BEGIN(tracer, node, code, req, arg)                \
-    PRESS_TRACE_CALL(tracer, spanBegin((node), (code), (req), (arg)))
-#define PRESS_TRACE_SPAN_END(tracer, node, code, req, arg)                  \
-    PRESS_TRACE_CALL(tracer, spanEnd((node), (code), (req), (arg)))
 #define PRESS_TRACE_ASYNC_BEGIN(tracer, node, code, req, arg)               \
     PRESS_TRACE_CALL(tracer, asyncBegin((node), (code), (req), (arg)))
 #define PRESS_TRACE_ASYNC_END(tracer, node, code, req, arg)                 \
     PRESS_TRACE_CALL(tracer, asyncEnd((node), (code), (req), (arg)))
 #define PRESS_TRACE_INSTANT(tracer, node, code, req, arg)                   \
     PRESS_TRACE_CALL(tracer, instant((node), (code), (req), (arg)))
-#define PRESS_TRACE_COUNTER(tracer, node, code, value)                      \
-    PRESS_TRACE_CALL(tracer, counter((node), (code), (value)))
 
 #endif // PRESS_OBS_TRACER_HPP
