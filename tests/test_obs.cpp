@@ -353,10 +353,10 @@ cpu.queue_depth 0 41
 cpu.queue_depth 1 32
 cpu.queue_depth 2 55
 cpu.queue_depth -1 55
-disk.queue_depth 0 99
+disk.queue_depth 0 100
 disk.queue_depth 1 87
 disk.queue_depth 2 82
-disk.queue_depth -1 99
+disk.queue_depth -1 100
 disk.read_ns 0 205
 disk.read_ns 1 196
 disk.read_ns 2 194
@@ -396,10 +396,10 @@ cpu.queue_depth 0 45
 cpu.queue_depth 1 43
 cpu.queue_depth 2 36
 cpu.queue_depth -1 45
-disk.queue_depth 0 100
+disk.queue_depth 0 101
 disk.queue_depth 1 83
 disk.queue_depth 2 84
-disk.queue_depth -1 100
+disk.queue_depth -1 101
 disk.read_ns 0 218
 disk.read_ns 1 218
 disk.read_ns 2 215
