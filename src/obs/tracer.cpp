@@ -116,6 +116,8 @@ Tracer::Tracer(sim::Simulator &sim, int nodes, std::size_t ring_capacity,
 void
 Tracer::resetAggregates()
 {
+    for (auto &ring : _rings)
+        ring.clear();
     for (auto &by_cat : _spanBusy)
         for (auto &ns : by_cat)
             ns = 0;

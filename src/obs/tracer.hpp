@@ -127,8 +127,9 @@ class Tracer
             by_cat[static_cast<std::size_t>(category)] += duration;
     }
 
-    /** Zero the span aggregation at the measurement boundary (rings
-     *  keep their history). */
+    /** Empty the rings and zero the span aggregation at the
+     *  measurement boundary, so both cover the measured window, as
+     *  every counter does. */
     void resetAggregates();
 
     const TraceRing &ring(int node) const

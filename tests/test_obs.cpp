@@ -284,8 +284,8 @@ TEST(TracedCluster, StallCounterMatchesStallInstants)
     // ViaComm, not the credit gate, traces a stalled acquire: every
     // comm.stalls increment must come with exactly one CommStall
     // instant. A 2-slot window under per-change load broadcasts stalls
-    // often; the ring is sized so no event is dropped, and there is no
-    // warm-up, whose end would reset the counter but not the ring.
+    // often; the ring is sized so no event is dropped, and the warm-up
+    // boundary empties it as it zeroes the counter.
     workload::TraceSpec spec = workload::clarknetSpec();
     spec.numRequests = 3000;
     spec.numFiles = 800;
@@ -297,7 +297,6 @@ TEST(TracedCluster, StallCounterMatchesStallInstants)
     config.version = core::Version::V0;
     config.dissemination = core::Dissemination::broadcast(1);
     config.controlWindow = 2;
-    config.warmupFraction = 0;
     config.trace = true;
     config.traceEventsPerNode = 1u << 17;
 
