@@ -8,6 +8,7 @@
 
 #include "obs/trace_event.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::check {
 
@@ -69,15 +70,6 @@ forEachIndex(std::size_t n, int jobs, Fn &&fn)
         std::rethrow_exception(first_error);
 }
 
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 } // namespace
 
 std::string
@@ -122,7 +114,7 @@ std::uint64_t
 TickRaceHunter::seedForRun(std::uint64_t base, int k)
 {
     std::uint64_t seed =
-        mix64(base ^ (static_cast<std::uint64_t>(k) << 32));
+        util::mix64(base ^ (static_cast<std::uint64_t>(k) << 32));
     return seed ? seed : 0x9e3779b97f4a7c15ULL;
 }
 

@@ -9,6 +9,7 @@
 #include "http/mime.hpp"
 #include "http/url.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::core {
 
@@ -312,7 +313,7 @@ PressCluster::draw(ClientRequest &req)
             _sim.now() - _measureStart, k)];
     req.opts.dynamic =
         _config.traffic.dynamicFraction > 0 &&
-        traffic::unitFromHash(traffic::mix64(
+        traffic::unitFromHash(util::mix64(
             _config.seed ^ 0xC1A55F1EDull ^ (k + 1))) <
             _config.traffic.dynamicFraction;
     return true;

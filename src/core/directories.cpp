@@ -109,7 +109,7 @@ CacheDirectory::shardOf(storage::FileId file, int shards)
     // The same deterministic mix the gossip sampler uses: stable
     // across runs, platforms and thread counts.
     return static_cast<int>(
-        DisseminationEngine::mix64(static_cast<std::uint64_t>(file)) %
+        util::mix64(static_cast<std::uint64_t>(file)) %
         static_cast<std::uint64_t>(shards));
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "util/random.hpp"
+
 namespace press::core {
 
 DisseminationEngine::DisseminationEngine(sim::Simulator &sim,
@@ -55,15 +57,6 @@ DisseminationEngine::DisseminationEngine(sim::Simulator &sim,
     }
 }
 
-std::uint64_t
-DisseminationEngine::mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 void
 DisseminationEngine::samplePeers(std::uint64_t seed, std::uint64_t round,
                                  int self, int nodes, int fanout,
@@ -76,11 +69,11 @@ DisseminationEngine::samplePeers(std::uint64_t seed, std::uint64_t round,
     // Hash chain on (seed, round, self): deterministic, stateless, and
     // different per node and per round. Rejection keeps peers distinct;
     // the chain cannot stall because want <= nodes - 1.
-    std::uint64_t x =
-        mix64(seed ^ mix64(round ^ mix64(static_cast<std::uint64_t>(
-                               self + 0x51ed2701))));
+    std::uint64_t x = util::mix64(
+        seed ^ util::mix64(round ^ util::mix64(static_cast<std::uint64_t>(
+                                       self + 0x51ed2701))));
     while (static_cast<int>(out.size()) < want) {
-        x = mix64(x);
+        x = util::mix64(x);
         int cand = static_cast<int>(x % static_cast<std::uint64_t>(nodes));
         if (cand == self)
             continue;
@@ -447,8 +440,8 @@ DisseminationEngine::scheduleRound()
     // runs stay bit-identical for any thread count.
     sim::Tick base = _d.interval;
     std::uint64_t h =
-        mix64(_seed ^ (static_cast<std::uint64_t>(_self) << 40) ^
-              (_round + 1));
+        util::mix64(_seed ^ (static_cast<std::uint64_t>(_self) << 40) ^
+                    (_round + 1));
     sim::Tick jitter = static_cast<sim::Tick>(h % (base / 4 + 1));
     _sim.schedule(base + jitter, [this]() { runRound(); });
 }

@@ -124,10 +124,6 @@ class DisseminationEngine
 
     // ---------------------------------------------------- static helpers
 
-    /** splitmix64: the deterministic mixing function behind peer
-     *  sampling (exposed for tests and the sharded directory hash). */
-    static std::uint64_t mix64(std::uint64_t x);
-
     /**
      * The fanout-k peer sample of @p self for @p round: k distinct
      * nodes != self, a pure function of (seed, round, self). Appends

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
-#include "traffic/rate_curve.hpp" // mix64 / unitFromHash
+#include "traffic/rate_curve.hpp" // unitFromHash
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::traffic {
 
@@ -60,9 +61,9 @@ PopulationModel::alphaAt(sim::Tick t) const
 std::size_t
 PopulationModel::sampleRank(sim::Tick t, std::uint64_t k) const
 {
-    std::uint64_t draw = mix64(_seed ^ FileStream ^ (k + 1));
+    std::uint64_t draw = util::mix64(_seed ^ FileStream ^ (k + 1));
     if (_spec.hotCount > 0 && t >= _spec.hotStart && t < _spec.hotEnd) {
-        double coin = unitFromHash(mix64(_seed ^ HotStream ^ (k + 1)));
+        double coin = unitFromHash(util::mix64(_seed ^ HotStream ^ (k + 1)));
         if (coin < _spec.hotFraction) {
             std::size_t window = std::min<std::size_t>(
                 static_cast<std::size_t>(_spec.hotCount), _files);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/logging.hpp"
+#include "util/random.hpp"
 #include "util/units.hpp"
 
 namespace press::traffic {
@@ -453,7 +454,7 @@ sim::Tick
 ArrivalEngine::next()
 {
     ++_count;
-    double u = unitFromHash(mix64(_seed ^ (_count * 0x2545F4914F6CDD1Dull)));
+    double u = unitFromHash(util::mix64(_seed ^ (_count * 0x2545F4914F6CDD1Dull)));
     _mass += -std::log(1.0 - u);
     return _curve.invert(_mass / _scale);
 }

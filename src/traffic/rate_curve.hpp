@@ -51,18 +51,7 @@
 
 namespace press::traffic {
 
-/** SplitMix64 finalizer: the counter-based mixing function behind every
- *  traffic draw (arrival gaps, popularity picks, session lengths). */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-/** Map a mixed word to a uniform in [0, 1) (53 mantissa bits). */
+/** Map a util::mix64 word to a uniform in [0, 1) (53 mantissa bits). */
 constexpr double
 unitFromHash(std::uint64_t h)
 {

@@ -2,8 +2,9 @@
 
 #include <cmath>
 
-#include "traffic/rate_curve.hpp" // mix64 / unitFromHash
+#include "traffic/rate_curve.hpp" // unitFromHash
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::traffic {
 
@@ -30,7 +31,7 @@ SessionModel::length(std::uint64_t session) const
 {
     if (_logq == 0)
         return 1;
-    double u = unitFromHash(mix64(_seed ^ LengthStream ^ (session + 1)));
+    double u = unitFromHash(util::mix64(_seed ^ LengthStream ^ (session + 1)));
     double len = 1.0 + std::floor(std::log(1.0 - u) / _logq);
     if (len < 1.0)
         len = 1.0;
@@ -44,7 +45,7 @@ SessionModel::thinkGap(std::uint64_t session, std::uint32_t index) const
 {
     if (_spec.thinkMean == 0)
         return 0;
-    double u = unitFromHash(mix64(_seed ^ ThinkStream ^
+    double u = unitFromHash(util::mix64(_seed ^ ThinkStream ^
                                   ((session + 1) * 0x100000001B3ull + index)));
     double gap = -static_cast<double>(_spec.thinkMean) * std::log(1.0 - u);
     return static_cast<sim::Tick>(gap);

@@ -8,17 +8,6 @@ namespace press::util {
 
 namespace {
 
-/** SplitMix64 step, used for seeding. */
-std::uint64_t
-splitMix64(std::uint64_t &x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {
@@ -29,9 +18,11 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t s = seed;
-    for (auto &word : _state)
-        word = splitMix64(s);
+    // SplitMix64 expansion: the first four outputs of its stream.
+    for (auto &word : _state) {
+        word = mix64(seed);
+        seed += 0x9E3779B97F4A7C15ull;
+    }
 }
 
 std::uint64_t
