@@ -61,7 +61,7 @@ main(int argc, char **argv)
         const auto &nlb = runner[k++];
         t.row({util::fmtF(slow, 2), util::fmtF(pb.throughput, 0),
                util::fmtF(nlb.throughput, 0),
-               "+" + util::fmtPct(pb.throughput / nlb.throughput - 1),
+               plusPct(pb.throughput / nlb.throughput - 1),
                util::fmtF(pb.avgLatencyMs, 0),
                util::fmtF(nlb.avgLatencyMs, 0)});
     }

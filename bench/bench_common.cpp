@@ -263,6 +263,14 @@ exportTraces(const std::string &bench_id, const ParallelRunner &runner,
     return ok;
 }
 
+std::string
+plusPct(double fraction)
+{
+    std::string s = "+";
+    s += util::fmtPct(fraction);
+    return s;
+}
+
 void
 banner(const std::string &id, const std::string &what,
        const Options &opts)

@@ -145,6 +145,11 @@ core::ClusterResults runOne(const workload::Trace &trace,
 bool exportTraces(const std::string &bench_id, const ParallelRunner &runner,
                   const Options &opts);
 
+/** A gain cell: "+" then util::fmtPct(@p fraction). Built by appending:
+ *  GCC 12 at -O3 flags "literal" + std::string&& with a false
+ *  -Wrestrict. */
+std::string plusPct(double fraction);
+
 /** Print the standard bench header. */
 void banner(const std::string &id, const std::string &what,
             const Options &opts);

@@ -54,13 +54,13 @@ main(int argc, char **argv)
         double total = v5 / base - 1.0;
         gain_sum += total;
         t.row({trace.name, util::fmtF(base, 0),
-               "+" + util::fmtPct(v0 / base - 1.0),
-               "+" + util::fmtPct((v4 - v0) / base),
-               "+" + util::fmtPct((v5 - v4) / base),
-               "+" + util::fmtPct(total), "up to +29%"});
+               plusPct(v0 / base - 1.0),
+               plusPct((v4 - v0) / base),
+               plusPct((v5 - v4) / base),
+               plusPct(total), "up to +29%"});
     }
     t.separator();
-    t.row({"average", "", "", "", "", "+" + util::fmtPct(gain_sum / 4),
+    t.row({"average", "", "", "", "", plusPct(gain_sum / 4),
            "+26%"});
     std::cout << t.render();
     std::cout << "\nPaper (Fig. 6 + S3.4): user-level communication "

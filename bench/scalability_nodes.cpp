@@ -226,9 +226,9 @@ main(int argc, char **argv)
 
         t.row({std::to_string(n), util::fmtF(rt.throughput, 0),
                util::fmtF(rv.throughput, 0),
-               "+" + util::fmtPct(rv.throughput / rt.throughput - 1),
+               plusPct(rv.throughput / rt.throughput - 1),
                util::fmtF(pt, 0), util::fmtF(pv, 0),
-               "+" + util::fmtPct(pv / pt - 1)});
+               plusPct(pv / pt - 1)});
     }
     std::cout << "\n" << t.render();
     std::cout << "\nBoth columns should show the same story: gains grow "

@@ -38,22 +38,26 @@
 #   (i) lint pass (clang-tidy when available + project grep bans,
 #       including the nondeterminism, raw-argv, raw-RNG and raw-throw
 #       bans)
+#   (j) release: build only, -O3 Release with -DPRESS_WERROR=ON; the
+#       optimizer's inlining raises warnings (e.g. GCC's -Wrestrict)
+#       the default RelWithDebInfo build never sees
 #
 # Usage: scripts/check.sh [stage...]
 #   stage  any of: tier1 asan tsan trace races scale fault traffic
-#          lint (default: all nine, in order)
+#          lint release (default: all ten, in order)
 #
 # Every requested stage runs even when an earlier one fails; the
 # summary table at the end shows per-stage pass/fail and the script
 # exits nonzero if anything failed.
 #
-# Separate build trees (build/, build-asan/, build-tsan/) keep the
-# sanitizer instrumentation out of the regular binaries.
+# Separate build trees (build/, build-asan/, build-tsan/,
+# build-release/) keep the sanitizer instrumentation and the -O3 build
+# out of the regular binaries.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -eq 0 ]; then
-    STAGES=(tier1 asan tsan trace races scale fault traffic lint)
+    STAGES=(tier1 asan tsan trace races scale fault traffic lint release)
 else
     STAGES=("$@")
 fi
@@ -220,15 +224,21 @@ stage_lint() {
     scripts/lint.sh build
 }
 
+stage_release() {
+    cmake -B build-release -S . -G Ninja -DCMAKE_BUILD_TYPE=Release \
+        -DPRESS_WERROR=ON
+    cmake --build build-release -j "$(nproc)"
+}
+
 declare -a RESULTS=()
 OVERALL=0
 
 for stage in "${STAGES[@]}"; do
     case "$stage" in
-    tier1|asan|tsan|trace|races|scale|fault|traffic|lint) ;;
+    tier1|asan|tsan|trace|races|scale|fault|traffic|lint|release) ;;
     *)
         echo "check.sh: unknown stage '$stage'" \
-             "(want tier1|asan|tsan|trace|races|scale|fault|traffic|lint)" >&2
+             "(want tier1|asan|tsan|trace|races|scale|fault|traffic|lint|release)" >&2
         exit 2
         ;;
     esac

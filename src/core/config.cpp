@@ -5,6 +5,20 @@
 
 namespace press::core {
 
+namespace {
+
+/** @p prefix followed by the decimal @p n. Built by appending: GCC 12
+ *  at -O3 flags "literal" + std::string&& with a false -Wrestrict. */
+std::string
+tagged(const char *prefix, int n)
+{
+    std::string s = prefix;
+    s += std::to_string(n);
+    return s;
+}
+
+} // namespace
+
 const char *
 protocolName(Protocol p)
 {
@@ -112,13 +126,13 @@ Dissemination::label() const
       case Kind::PiggyBack:
         return "PB";
       case Kind::Broadcast:
-        return "L" + std::to_string(threshold) + (useRmw ? "/rmw" : "");
+        return tagged("L", threshold) + (useRmw ? "/rmw" : "");
       case Kind::None:
         return "NLB";
       case Kind::Gossip:
-        return "G" + std::to_string(fanout);
+        return tagged("G", fanout);
       case Kind::Tree:
-        return "T" + std::to_string(fanout);
+        return tagged("T", fanout);
     }
     return "?";
 }
@@ -143,9 +157,9 @@ PressConfig::label() const
         distribution == Distribution::LocalityConscious)
         s += std::string("-") + versionName(version);
     if (!(dissemination.kind == Dissemination::Kind::PiggyBack))
-        s += "-" + dissemination.label();
+        s.append("-").append(dissemination.label());
     if (directoryMode == DirectoryMode::Sharded)
-        s += "-S" + std::to_string(dirShards);
+        s += tagged("-S", dirShards);
     if (distribution != Distribution::LocalityConscious)
         s = std::string(distributionName(distribution)) + "(" + s + ")";
     return s;
